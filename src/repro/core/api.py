@@ -110,8 +110,8 @@ class AdjustmentParameter:
 class StageContext(abc.ABC):
     """Runtime services available to a :class:`StreamProcessor`.
 
-    Concrete implementations are provided by the simulated and threaded
-    runtimes; tests use a lightweight fake.
+    The one runtime implementation is :class:`repro.core.stagecore.StageCore`,
+    shared by all three runtimes; tests use :class:`RecordingContext`.
     """
 
     @abc.abstractmethod
@@ -190,7 +190,8 @@ class StreamProcessor(abc.ABC):
     2. :meth:`on_item` — once per input item, in arrival order.
     3. :meth:`flush` — once, after every input stream has ended.
 
-    Output is produced by calling ``context.emit(...)`` from any hook.
+    Output is produced by calling ``context.emit(...)`` from :meth:`on_item`
+    or :meth:`flush`; every runtime rejects an emission from :meth:`setup`.
 
     Cost model: :attr:`cost_model` prices each ``on_item`` call on the
     host CPU (per-item + per-byte, the latter being the paper's

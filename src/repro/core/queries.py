@@ -105,7 +105,7 @@ class ContinuousQuery:
                 # run() not started yet or stage vanished; try again.
                 yield self.runtime.env.timeout(self.interval)
                 continue
-            answer = _resolve_query_fn(stage.processor)()
+            answer = _resolve_query_fn(stage.core.processor)()
             now = self.runtime.env.now
             self.answers.append((now, answer))
             if self.score is not None:

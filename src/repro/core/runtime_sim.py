@@ -51,33 +51,29 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import ExceptionCounter
-from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
-from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
-from repro.core.results import RunResult, StageStats
+from repro.core.results import RunResult
 from repro.core.sharding import (
     SHARD_GROUP_PROPERTY,
     SHARD_INDEX_PROPERTY,
     ShardGroup,
     groups_of,
-    logical_stream,
 )
-from repro.core.termination import EosTracker, no_input_message
+from repro.core.stagecore import OutEdge, StageCore, owner_select
+from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
-from repro.metrics.rates import RateEstimator
-from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import ItemTrace, TraceCollector, publish_traces
 from repro.resilience.checkpoint import (
     CheckpointStore,
     MemoryCheckpointStore,
     StageCheckpoint,
 )
-from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.resilience.replay import ReplayBuffers
 from repro.simnet.engine import Environment, Event, SimulationError
 from repro.simnet.hosts import HostFailedError
@@ -136,82 +132,6 @@ class SourceBinding:
         return float(self.item_size)
 
 
-class _SimStageContext(StageContext):
-    """Runtime-backed stage context handed to user processors."""
-
-    def __init__(self, stage: "_StageRuntime", runtime: "SimulatedRuntime") -> None:
-        self._stage = stage
-        self._runtime = runtime
-        self._in_setup = False
-        #: True while a failover re-runs setup() on a fresh processor
-        #: instance; duplicate parameter declarations then return the
-        #: surviving parameter object (its value, history series, and
-        #: controller all outlive the crashed incarnation).
-        self._restoring = False
-        #: Emissions buffered during one on_item/flush call; the worker
-        #: transmits them (with blocking) after the call returns.  Each
-        #: entry is (payload, size, stream-or-None).
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            if self._restoring:
-                return self._stage.parameters[name]
-            raise ProcessorError(f"{self._stage.name}: parameter {name!r} declared twice")
-        param = AdjustmentParameter(name, initial, minimum, maximum, increment, direction)
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(
-            param, self._runtime.policy
-        )
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        try:
-            return self._stage.parameters[name].value
-        except KeyError:
-            raise ProcessorError(
-                f"{self._stage.name}: unknown parameter {name!r}"
-            ) from None
-
-    def emit(self, payload: Any, size: float = 8.0, stream: Optional[str] = None) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        if stream is not None and not any(
-            e.stream.name == stream or logical_stream(e.stream.name) == stream
-            for e in self._stage.out_edges
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r} "
-                f"(have {[e.stream.name for e in self._stage.out_edges]})"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._runtime.env.now
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
 @dataclass
 class _Edge:
     """One wired stream: src stage -> (link or colocated) -> dst stage."""
@@ -228,7 +148,7 @@ class _BatchEnvelope:
     """Several Items shipped over a link as one transmission.
 
     The envelope pays one token-bucket charge for the summed size (the
-    batched fast path's saving); :meth:`SimulatedRuntime._deliver` unpacks
+    batched fast path's saving); :meth:`SimulatedRuntime._land` unpacks
     it so the destination still sees individual items — per-item replay
     recording, hop opening, and queue occupancy are unchanged.
     """
@@ -242,56 +162,14 @@ class _BatchEnvelope:
 
 
 @dataclass
-class _RouteUnit:
-    """One routing decision among a stage's out-edges.
-
-    A *solo* unit (``group is None``) wraps one ordinary edge.  A
-    *family* unit wraps the per-replica edges fanning out to one sharded
-    destination group: ``edges[slot]`` is the out-edge index reaching
-    replica ``slot``, and exactly one of them — the key owner's — gets
-    each emitted item.  ``accepts`` holds every stream name addressing
-    the unit (the declared name plus, for families, the expanded
-    per-replica names); ``named`` maps a concrete per-replica stream
-    name to its slot so an explicit ``emit(..., stream="t#1")``
-    overrides the partitioner.
-    """
-
-    accepts: frozenset
-    edges: List[int]
-    group: Optional[str] = None
-    named: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class _StageRuntime:
-    """Internal per-stage runtime state."""
+    """Internal per-stage driver state around the stage's :class:`StageCore`."""
 
     name: str
     host_name: str
-    processor: StreamProcessor
     queue: BoundedQueue
-    properties: Dict[str, str]
-    policy: AdaptationPolicy
-    eos: EosTracker = field(default_factory=EosTracker)
+    core: StageCore
     out_edges: List[_Edge] = field(default_factory=list)
-    upstream: List["_StageRuntime"] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_SimStageContext] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    #: Registry-backed metric handles (items/bytes/latency/queue...).
-    metrics: Optional[StageMetrics] = None
-    #: Effective micro-batch policy (None = one-at-a-time emission).
-    batch: Optional[BatchPolicy] = None
-    #: One accumulating buffer per out-edge (parallel to ``out_edges``),
-    #: holding (item, parent-hop) entries.
-    batch_buffers: List[BatchBuffer] = field(default_factory=list)
-    batch_metrics: Optional[BatchMetrics] = None
-    #: Routing decisions over ``out_edges`` (solo edges and sharded
-    #: families); built once in ``_build`` after the edges are wired.
-    route_units: List[_RouteUnit] = field(default_factory=list)
     done: bool = False
     # -- fault-tolerance state (used only with resilience enabled) --------
     #: Channel (message origin) -> sequence number of the last fully
@@ -317,6 +195,11 @@ class _StageRuntime:
     #: item back (nothing replays on the planned path).  Entries are
     #: consumed by the superseded worker within the switch's timestep.
     requeue_generations: set = field(default_factory=set)
+
+    @property
+    def batched(self) -> bool:
+        """Whether emissions accumulate in per-edge batch buffers."""
+        return self.core.batch is not None and bool(self.out_edges)
 
 
 class SimulatedRuntime:
@@ -436,6 +319,7 @@ class SimulatedRuntime:
 
     def _build(self) -> None:
         config = self.deployment.config
+        processors: Dict[str, StreamProcessor] = {}
         for stage_cfg in config.stages:
             host_name = self.deployment.host_of(stage_cfg.name)
             properties = {
@@ -444,26 +328,15 @@ class SimulatedRuntime:
             }
             capacity = int(properties.get("queue-capacity", self.DEFAULT_QUEUE_CAPACITY))
             queue = BoundedQueue(self.env, capacity=capacity, window=self.policy.window)
-            processor = self.deployment.instance_of(stage_cfg.name).instantiate_processor()
-            if not isinstance(processor, StreamProcessor):
-                raise RuntimeError_(
-                    f"stage {stage_cfg.name!r} code is not a StreamProcessor "
-                    f"(got {type(processor).__name__})"
-                )
+            processors[stage_cfg.name] = self._instantiate(stage_cfg.name)
+            core = StageCore(
+                stage_cfg.name, properties, queue, self.policy, self.metrics,
+                clock=lambda: self.env.now, error=RuntimeError_, batch=self.batch,
+                resilience=self.resilience, dead_letters=self.dead_letters,
+            )
             stage = _StageRuntime(
-                name=stage_cfg.name,
-                host_name=host_name,
-                processor=processor,
-                queue=queue,
-                properties=properties,
-                policy=self.policy,
+                name=stage_cfg.name, host_name=host_name, queue=queue, core=core
             )
-            stage.metrics = StageMetrics(self.metrics, stage_cfg.name)
-            stage.estimator = LoadEstimator(stage_cfg.name, queue, self.policy)
-            self.metrics.series(
-                f"adapt.{stage_cfg.name}.d_tilde", stage.estimator.history
-            )
-            stage.context = _SimStageContext(stage, self)
             if self.replay is not None:
                 # Record every insertion at insertion time (including
                 # blocked puts admitted later), so a failover's purge can
@@ -475,7 +348,7 @@ class SimulatedRuntime:
 
         # Reconstruct shard groups from the expanded config's markers.
         self._groups = groups_of(
-            {name: stage.properties for name, stage in self._stages.items()}
+            {name: stage.core.properties for name, stage in self._stages.items()}
         )
         for group in self._groups.values():
             for member in group.members:
@@ -490,10 +363,19 @@ class SimulatedRuntime:
             edge = _Edge(stream=stream, dst=dst, link=None)
             self._wire_edge(edge, src)
             src.out_edges.append(edge)
-            dst.upstream.append(src)
-            dst.eos.expect(group=src.properties.get(SHARD_GROUP_PROPERTY))
+            dst.core.upstream.append(src.core)
+            dst.core.eos.expect(group=src.core.properties.get(SHARD_GROUP_PROPERTY))
+        families = {
+            name: (len(group.members), owner_select(group.owner))
+            for name, group in self._groups.items()
+        }
         for stage in self._stages.values():
-            self._build_route_units(stage)
+            edges = []
+            for edge in stage.out_edges:
+                dst = edge.dst.core.properties
+                group, slot = dst.get(SHARD_GROUP_PROPERTY), int(dst.get(SHARD_INDEX_PROPERTY, 0))
+                edges.append(OutEdge(edge.stream.name, edge.dst.name, group, slot, buffered=True))
+            stage.core.wire(edges, families)
 
         # Account for external source bindings (a group target expects
         # one end-of-stream per replica slot — the feeder sends to all).
@@ -501,26 +383,29 @@ class SimulatedRuntime:
             group = self._groups.get(binding.target_stage)
             if group is not None and binding.target_stage not in self._stages:
                 for member in group.members:
-                    self._stages[member].eos.expect()
+                    self._stages[member].core.eos.expect()
             else:
-                self._stages[binding.target_stage].eos.expect()
-
-        # Resolve per-stage micro-batch policies now that edges exist.
-        for stage in self._stages.values():
-            try:
-                effective = batch_policy_from_properties(stage.properties, self.batch)
-            except ValueError as exc:
-                raise RuntimeError_(f"stage {stage.name!r}: {exc}") from None
-            if effective is not None and effective.enabled and stage.out_edges:
-                stage.batch = effective
-                stage.batch_buffers = [BatchBuffer(effective) for _ in stage.out_edges]
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
+                self._stages[binding.target_stage].core.eos.expect()
 
         # Every stage must have at least one input, or it can never end.
         for stage in self._stages.values():
-            if not stage.eos.has_inputs:
+            if not stage.core.eos.has_inputs:
                 raise RuntimeError_(no_input_message(stage.name))
         self._built = True
+
+        # Call setup() on every processor (parameters get declared here).
+        for stage in self._stages.values():
+            stage.core.setup(processors[stage.name])
+
+    def _instantiate(self, stage_name: str) -> StreamProcessor:
+        """A fresh processor from the stage's (current) service instance."""
+        processor = self.deployment.instance_of(stage_name).instantiate_processor()
+        if not isinstance(processor, StreamProcessor):
+            raise RuntimeError_(
+                f"stage {stage_name!r} code is not a StreamProcessor "
+                f"(got {type(processor).__name__})"
+            )
+        return processor
 
     def _wire_edge(self, edge: _Edge, src: _StageRuntime) -> None:
         """(Re)bind an edge to the current src/dst host placement."""
@@ -541,88 +426,6 @@ class SimulatedRuntime:
         bottleneck.bind_metrics(self.metrics)
         edge.link = bottleneck
 
-    def _build_route_units(self, stage: _StageRuntime) -> None:
-        """Group a stage's out-edges into routing units.
-
-        Edges fanning out to the replicas of one sharded destination
-        group (same declared stream name, same group) collapse into one
-        partitioned *family* unit; everything else stays a solo unit.
-        A partial family — some replica edge missing, which only
-        hand-built configs can produce — falls back to solo units
-        rather than partitioning over an incomplete slot set.
-        """
-        families: Dict[Tuple[str, str], Dict[int, int]] = {}
-        order: List[Tuple[Optional[Tuple[str, str]], int]] = []
-        for index, edge in enumerate(stage.out_edges):
-            dst_group = edge.dst.properties.get(SHARD_GROUP_PROPERTY)
-            if dst_group is None:
-                order.append((None, index))
-                continue
-            key = (logical_stream(edge.stream.name), dst_group)
-            if key not in families:
-                order.append((key, index))
-            families[key] = families.get(key, {})
-            families[key][int(edge.dst.properties[SHARD_INDEX_PROPERTY])] = index
-        for key, index in order:
-            if key is None:
-                edge = stage.out_edges[index]
-                stage.route_units.append(
-                    _RouteUnit(
-                        accepts=frozenset({edge.stream.name}), edges=[index]
-                    )
-                )
-                continue
-            logical, dst_group = key
-            mapping = families[key]
-            slots = len(self._groups[dst_group].members)
-            if set(mapping) == set(range(slots)):
-                edges = [mapping[slot] for slot in range(slots)]
-                names = {stage.out_edges[i].stream.name for i in edges}
-                stage.route_units.append(
-                    _RouteUnit(
-                        accepts=frozenset(names | {logical}),
-                        edges=edges,
-                        group=dst_group,
-                        named={
-                            stage.out_edges[i].stream.name: slot
-                            for slot, i in enumerate(edges)
-                        },
-                    )
-                )
-            else:
-                for edge_index in sorted(mapping.values()):
-                    name = stage.out_edges[edge_index].stream.name
-                    stage.route_units.append(
-                        _RouteUnit(
-                            accepts=frozenset({name, logical}),
-                            edges=[edge_index],
-                        )
-                    )
-
-    def _route_indices(
-        self, stage: _StageRuntime, payload: Any, stream: Optional[str]
-    ) -> Iterable[int]:
-        """Out-edge indices one emission goes to.
-
-        Solo units behave like the pre-sharding fan-out (every edge
-        matching the requested stream, or all of them on a broadcast);
-        a family unit contributes exactly one edge — the key owner's, or
-        the explicitly addressed replica's.
-        """
-        for unit in stage.route_units:
-            if stream is not None and stream not in unit.accepts:
-                continue
-            if unit.group is None:
-                yield unit.edges[0]
-                continue
-            if stream is not None and stream in unit.named:
-                slot = unit.named[stream]
-            else:
-                slot = self._groups[unit.group].owner(payload)
-            index = unit.edges[slot]
-            self._shard_counters[stage.out_edges[index].dst.name].inc()
-            yield index
-
     # -- execution -----------------------------------------------------------
 
     def run(self, max_sim_time: float = 1e7, stop_at: Optional[float] = None) -> RunResult:
@@ -642,23 +445,6 @@ class SimulatedRuntime:
         result = RunResult(app_name=self.deployment.config.name)
         self._result = result
         start = self.env.now
-
-        # Call setup() on every processor (parameters get declared here).
-        for stage in self._stages.values():
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            # setup() may emit (e.g. headers); transmit before data flows.
-            if stage.context.pending:
-                raise RuntimeError_(
-                    f"stage {stage.name!r} emitted during setup(); emissions "
-                    "are only allowed from on_item()/flush()"
-                )
-            # Parameters exist now — publish their trajectories.
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
 
         for stage in self._stages.values():
             self._stage_done[stage.name] = self.env.event()
@@ -704,15 +490,7 @@ class SimulatedRuntime:
             result.traces = self.tracer.traces
             publish_traces(self.metrics, result.traces)
         for stage in self._stages.values():
-            assert stage.metrics is not None
-            stage.metrics.arrival_rate.set(
-                stage.rate_estimator.decayed_rate(self.env.now)
-            )
-            result.stages[stage.name] = StageStats.from_registry(
-                self.metrics, stage.name,
-                host_name=stage.host_name,
-                final_value=stage.processor.result(),
-            )
+            result.stages[stage.name] = stage.core.stats(self.env.now, stage.host_name)
         result.metrics = self.metrics
         return result
 
@@ -735,7 +513,6 @@ class SimulatedRuntime:
             if gap:
                 yield self.env.timeout(gap)
             stage = targets[group.owner(payload)] if group is not None else targets[0]
-            assert stage.metrics is not None
             item = Item(
                 payload=payload,
                 size=binding.size_of(payload),
@@ -752,7 +529,7 @@ class SimulatedRuntime:
                     item.hop = item.trace.begin_hop(stage.name, self.env.now)
             if binding.drop_when_full:
                 if stage.queue.is_full:
-                    stage.metrics.items_dropped.inc()
+                    stage.core.metrics.items_dropped.inc()
                     if item.hop is not None:
                         item.trace.hops.remove(item.hop)
                         item.hop = None
@@ -762,7 +539,7 @@ class SimulatedRuntime:
                 # A blocking put waits for queue space; that back-pressure
                 # wait counts as queue time (the hop is already open).
                 yield stage.queue.put(item)
-            stage.rate_estimator.observe(self.env.now)
+            stage.core.arrivals.observe(self.env.now)
             if group is not None:
                 self._shard_counters[stage.name].inc()
         for stage in targets:
@@ -773,7 +550,7 @@ class SimulatedRuntime:
             self._worker(stage, stage.generation),
             name=f"worker:{stage.name}:g{stage.generation}",
         )
-        if stage.batch_buffers:
+        if stage.batched:
             self.env.process(
                 self._batch_flusher(stage, stage.generation),
                 name=f"batch-flush:{stage.name}:g{stage.generation}",
@@ -781,8 +558,8 @@ class SimulatedRuntime:
 
     def _worker(self, stage: _StageRuntime, generation: int) -> Generator:
         host = self.network.host(stage.host_name)
-        ctx = stage.context
-        assert ctx is not None
+        core = stage.core
+        metrics = core.metrics
         resilient = self.resilience is not None
         while True:
             if resilient and stage.generation != generation:
@@ -814,15 +591,15 @@ class SimulatedRuntime:
                 return
             stage.in_flight = True
             if isinstance(message, EndOfStream):
-                complete = stage.eos.observe()
+                complete = core.eos.observe()
                 self._advance_cursor(stage, message)
                 if not complete:
                     self._item_finished(stage)
                     continue
-                stage.processor.flush(ctx)
-                ctx.det.finalize_stage(stage.processor)
-                yield from self._transmit_pending(stage, host)
-                for index in range(len(stage.batch_buffers)):
+                core.processor.flush(core)
+                core.det.finalize_stage(core.processor)
+                yield from self._transmit_pending(stage)
+                for index in range(len(stage.out_edges)):
                     yield from self._flush_edge_batch(stage, index)
                 for edge in stage.out_edges:
                     yield from self._send_one(
@@ -836,19 +613,19 @@ class SimulatedRuntime:
                 self._stage_done[stage.name].succeed()
                 return
             assert isinstance(message, Item)
-            assert stage.metrics is not None
-            stage.metrics.items_in.inc()
-            stage.metrics.bytes_in.inc(message.size)
+            metrics.items_in.inc()
+            metrics.bytes_in.inc(message.size)
             hop = message.hop
             if hop is not None:
                 hop.dequeue_t = self.env.now
-            items, nbytes = stage.processor.work_amount(message.payload, message.size)
+            processor = core.processor
+            items, nbytes = processor.work_amount(message.payload, message.size)
             try:
                 if items or nbytes:
                     duration = yield host.execute(
-                        stage.processor.cost_model, items=items, nbytes=nbytes
+                        processor.cost_model, items=items, nbytes=nbytes
                     )
-                    stage.metrics.busy_seconds.inc(duration)
+                    metrics.busy_seconds.inc(duration)
                     if hop is not None:
                         hop.process_t += duration
             except HostFailedError:
@@ -859,23 +636,20 @@ class SimulatedRuntime:
             if resilient and stage.generation != generation:
                 return
             try:
-                stage.processor.on_item(message.payload, ctx)
+                core.processor.on_item(message.payload, core)
             except Exception as exc:
-                if (
-                    not resilient
-                    or self.resilience.error_policy == "fail"
-                    or isinstance(exc, HostFailedError)
+                if isinstance(exc, HostFailedError) or not self._quarantine(
+                    stage, message.payload, exc, reason="processing"
                 ):
                     raise
-                ctx.pending.clear()
-                self._quarantine(stage, message.payload, exc, reason="processing")
+                core.pending.clear()
                 self._advance_cursor(stage, message)
                 self._item_finished(stage)
                 continue
-            stage.metrics.latency.observe(self.env.now - message.created_at)
+            metrics.latency.observe(self.env.now - message.created_at)
             tx_start = self.env.now
-            yield from self._transmit_pending(stage, host, trace=message.trace, hop=hop)
-            if hop is not None and not stage.batch_buffers:
+            yield from self._transmit_pending(stage, trace=message.trace, hop=hop)
+            if hop is not None and not stage.batched:
                 # Batched stages attribute transmission inside
                 # _flush_edge_batch, shared across the batch's parents.
                 hop.tx_t += self.env.now - tx_start
@@ -887,50 +661,25 @@ class SimulatedRuntime:
     def _transmit_pending(
         self,
         stage: _StageRuntime,
-        host,
         trace: Optional[ItemTrace] = None,
         hop=None,
     ) -> Generator:
-        ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
-        pending, ctx.pending = ctx.pending, []
-        if stage.batch_buffers:
-            # Batched fast path: accumulate per-edge, flush on max_items
-            # (the flusher process enforces the max_delay age bound).
-            now = self.env.now
-            flush: List[int] = []
-            for payload, size, stream in pending:
-                stage.metrics.items_out.inc()
-                stage.metrics.bytes_out.inc(size)
-                for index in self._route_indices(stage, payload, stream):
-                    edge = stage.out_edges[index]
-                    item = Item(
-                        payload=payload,
-                        size=size,
-                        origin=edge.stream.name,
-                        created_at=now,
-                        trace=trace,
-                    )
-                    full = stage.batch_buffers[index].add((item, hop), now)
-                    if full and index not in flush:
-                        flush.append(index)
-            for index in flush:
-                yield from self._flush_edge_batch(stage, index)
-            return
-        for payload, size, stream in pending:
-            stage.metrics.items_out.inc()
-            stage.metrics.bytes_out.inc(size)
-            for index in self._route_indices(stage, payload, stream):
-                edge = stage.out_edges[index]
-                item = Item(
-                    payload=payload,
-                    size=size,
-                    origin=edge.stream.name,
-                    created_at=self.env.now,
-                    trace=trace,
-                )
-                yield from self._send_one(stage, edge, item)
+        """Route the stage's emissions: unbuffered edges transmit one
+        item each (blocking the sender); buffered edges ship when full
+        (the flusher process enforces the ``max_delay`` age bound)."""
+        core = stage.core
+        for index, payload, size in core.drain(self.env.now, trace, hop):
+            edge = stage.out_edges[index]
+            item = Item(
+                payload=payload,
+                size=size,
+                origin=edge.stream.name,
+                created_at=self.env.now,
+                trace=trace,
+            )
+            yield from self._send_one(stage, edge, item)
+        for index in core.take_full():
+            yield from self._flush_edge_batch(stage, index)
 
     def _flush_edge_batch(
         self, stage: _StageRuntime, index: int, age: bool = False
@@ -942,32 +691,22 @@ class SimulatedRuntime:
         parent hops.  Colocated edges skip the link but still amortize
         the handoff into one rate observation.
         """
-        buffer = stage.batch_buffers[index]
-        entries = buffer.drain()
+        entries = stage.core.take_batch(index, age)
         if not entries:
             return
         edge = stage.out_edges[index]
         count = len(entries)
-        assert stage.batch_metrics is not None
-        stage.batch_metrics.batches.inc()
-        stage.batch_metrics.items.inc(count)
-        stage.batch_metrics.flush_size.observe(float(count))
-        if age:
-            stage.batch_metrics.age_flushes.inc()
-        items = [item for item, _ in entries]
+        origin = edge.stream.name
+        items = [
+            Item(payload=payload, size=size, origin=origin, created_at=created, trace=trace)
+            for payload, size, created, trace, _ in entries
+        ]
         tx_start = self.env.now
-        if edge.link is None:
-            for item in items:
-                self._open_hop(edge.dst, item)
-                edge.dst.queue.force_put(item)
-            edge.dst.rate_estimator.observe(self.env.now, count=count)
-        else:
-            envelope = _BatchEnvelope(items, edge.stream.name)
-            yield from self._send_one(stage, edge, envelope)
+        yield from self._send_one(stage, edge, _BatchEnvelope(items, edge.stream.name))
         elapsed = self.env.now - tx_start
         if elapsed > 0:
             share = elapsed / count
-            for _, parent_hop in entries:
+            for *_, parent_hop in entries:
                 if parent_hop is not None:
                     parent_hop.tx_t += share
 
@@ -975,8 +714,8 @@ class SimulatedRuntime:
         """Enforce the age bound: every ``max_delay``, flush every
         non-empty buffer, so no batched item ever waits longer than
         ``max_delay`` for stragglers."""
-        assert stage.batch is not None
-        interval = stage.batch.max_delay
+        assert stage.core.batch is not None
+        interval = stage.core.batch.max_delay
         if interval <= 0:
             return
         while not stage.done:
@@ -985,7 +724,7 @@ class SimulatedRuntime:
                 return
             if stage.down_since is not None:
                 continue
-            for index in range(len(stage.batch_buffers)):
+            for index in range(len(stage.out_edges)):
                 yield from self._flush_edge_batch(stage, index, age=True)
 
     def _send_one(self, stage: _StageRuntime, edge: _Edge, message, control: bool = False) -> Generator:
@@ -1000,10 +739,7 @@ class SimulatedRuntime:
         """
         size = message.size if not control else 1.0
         if edge.link is None:
-            self._open_hop(edge.dst, message)
-            edge.dst.queue.force_put(message)
-            if not control:
-                edge.dst.rate_estimator.observe(self.env.now)
+            self._land(edge.dst, message)
             return
         attempt = 0
         while True:
@@ -1015,18 +751,9 @@ class SimulatedRuntime:
                 if attempt >= self.resilience.max_retries:
                     if control or self.resilience.error_policy == "fail":
                         raise
-                    if isinstance(message, _BatchEnvelope):
-                        for item in message.items:
-                            self._quarantine(
-                                stage, item.payload, exc, reason="transmission"
-                            )
-                    else:
-                        self._quarantine(
-                            stage,
-                            getattr(message, "payload", message),
-                            exc,
-                            reason="transmission",
-                        )
+                    items = message.items if isinstance(message, _BatchEnvelope) else [message]
+                    for item in items:
+                        self._quarantine(stage, item.payload, exc, reason="transmission")
                     return
                 self.metrics.counter(f"fault.{stage.name}.retries").inc()
                 delay = self.resilience.retry_delay(attempt, self._retry_rng)
@@ -1045,29 +772,26 @@ class SimulatedRuntime:
         delay = edge.link.latency + edge.extra_latency
         if delay:
             yield self.env.timeout(delay)
-        if isinstance(message, _BatchEnvelope):
-            # Unpack at the destination: per-item hop opening, replay
-            # recording (queue.on_insert fires per force_put) and queue
-            # occupancy are identical to one-at-a-time delivery.
-            for item in message.items:
-                self._open_hop(edge.dst, item)
-                edge.dst.queue.force_put(item)
-            edge.dst.rate_estimator.observe(self.env.now, count=len(message.items))
-            return
-        self._open_hop(edge.dst, message)
-        edge.dst.queue.force_put(message)
-        if isinstance(message, Item):
-            edge.dst.rate_estimator.observe(self.env.now)
+        self._land(edge.dst, message)
 
-    def _open_hop(self, dst: _StageRuntime, message) -> None:
-        """Start the downstream hop record as a traced item is enqueued."""
-        if isinstance(message, Item) and message.trace is not None:
-            message.hop = message.trace.begin_hop(dst.name, self.env.now)
+    def _land(self, dst: _StageRuntime, message) -> None:
+        """Enqueue a message at its destination, opening traced hops.
+
+        A batch envelope is unpacked: per-item hop opening, replay
+        recording (queue.on_insert fires per force_put) and queue
+        occupancy are identical to one-at-a-time delivery, with one
+        arrival observation for the whole batch.
+        """
+        items = message.items if isinstance(message, _BatchEnvelope) else [message]
+        for item in items:
+            if isinstance(item, Item) and item.trace is not None:
+                item.hop = item.trace.begin_hop(dst.name, self.env.now)
+            dst.queue.force_put(item)
+        if isinstance(items[0], Item):
+            dst.core.arrivals.observe(self.env.now, count=len(items))
 
     def _monitor(self, stage: _StageRuntime, result: RunResult) -> Generator:
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        samples = 0
+        core = stage.core
         while not stage.done:
             yield self.env.timeout(self.policy.sample_interval)
             if stage.done:
@@ -1075,10 +799,8 @@ class SimulatedRuntime:
             if stage.down_since is not None:
                 continue  # a dead stage reports no load
             now = self.env.now
-            stage.metrics.queue_len.record(now, stage.queue.current_length)
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
+            exception, adjusted = core.tick(now)
+            if exception is not None:
                 result.events.log(
                     now,
                     "load-exception",
@@ -1086,23 +808,14 @@ class SimulatedRuntime:
                     exception_kind=exception.kind.value,
                     score=exception.score,
                 )
-                for upstream in stage.upstream:
-                    upstream.exceptions.report(exception)
-                    assert upstream.metrics is not None
-                    upstream.metrics.exceptions_received.inc()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                for controller in stage.controllers.values():
-                    new_value = controller.adjust(score, t1, t2, now)
-                    result.events.log(
-                        now,
-                        "parameter-adjusted",
-                        stage=stage.name,
-                        parameter=controller.parameter.name,
-                        value=new_value,
-                    )
+            for parameter, value in adjusted:
+                result.events.log(
+                    now,
+                    "parameter-adjusted",
+                    stage=stage.name,
+                    parameter=parameter,
+                    value=value,
+                )
 
     # -- fault tolerance -------------------------------------------------------
 
@@ -1145,16 +858,9 @@ class SimulatedRuntime:
     def _checkpoint_stage(self, stage: _StageRuntime) -> StageCheckpoint:
         """Snapshot the stage and trim its acknowledged replay history."""
         assert self.checkpoints is not None and self.replay is not None
-        checkpoint = StageCheckpoint(
-            stage=stage.name,
-            time=self.env.now,
-            generation=stage.generation,
-            processor_state=stage.processor.snapshot(),
-            parameters={name: p.value for name, p in stage.parameters.items()},
-            estimator=stage.estimator.snapshot() if stage.estimator else None,
-            exceptions=stage.exceptions.snapshot(),
-            cursors=dict(stage.cursors),
-            eos_seen=stage.eos.snapshot(),
+        core = stage.core
+        checkpoint = core.checkpoint(
+            core.processor.snapshot(), stage.generation, stage.cursors
         )
         self.checkpoints.save(checkpoint)
         for channel, cursor in checkpoint.cursors.items():
@@ -1222,7 +928,9 @@ class SimulatedRuntime:
         self._note_stage_down(stage)
         self._restore_stage(stage)
 
-    def _restore_stage(self, stage: _StageRuntime) -> None:
+    def _restore_stage(self, stage: _StageRuntime) -> Tuple[int, int]:
+        """Failover restore: checkpoint, then replay everything
+        unacknowledged.  Returns ``(replayed, duplicates)``."""
         assert self.replay is not None and self.checkpoints is not None
         down_since = stage.down_since if stage.down_since is not None else self.env.now
         stage.generation += 1
@@ -1291,6 +999,7 @@ class SimulatedRuntime:
                 checkpoint_time=checkpoint.time if checkpoint is not None else None,
             )
         self._spawn_worker(stage)
+        return replayed, duplicates
 
     def _reinstantiate_from_checkpoint(self, stage: _StageRuntime):
         """Fresh processor from the stage's (possibly new) service
@@ -1299,54 +1008,27 @@ class SimulatedRuntime:
         Shared by crash failover and planned migration: both replace the
         processor object wholesale and rebuild its state from the
         checkpoint store; only the surrounding queue/replay treatment
-        differs.  Returns the checkpoint used (None if none existed).
+        differs.  Without a checkpoint the stage restarts from scratch
+        (replay re-delivers every end-of-stream).  Returns the
+        checkpoint used (None if none existed).
         """
         assert self.checkpoints is not None
-        processor = self.deployment.instance_of(stage.name).instantiate_processor()
-        if not isinstance(processor, StreamProcessor):
-            raise RuntimeError_(
-                f"stage {stage.name!r} code is not a StreamProcessor "
-                f"(got {type(processor).__name__})"
-            )
-        stage.processor = processor
-        ctx = stage.context
-        assert ctx is not None
-        ctx.pending.clear()
-        ctx._in_setup = True
-        ctx._restoring = True
-        try:
-            processor.setup(ctx)
-        finally:
-            ctx._in_setup = False
-            ctx._restoring = False
-        if ctx.pending:
-            raise RuntimeError_(
-                f"stage {stage.name!r} emitted during setup(); emissions "
-                "are only allowed from on_item()/flush()"
-            )
-
+        processor = self._instantiate(stage.name)
         checkpoint = self.checkpoints.latest(stage.name)
-        if checkpoint is not None:
-            for pname, value in checkpoint.parameters.items():
-                if pname in stage.parameters:
-                    stage.parameters[pname].set_value(value, self.env.now)
-            if checkpoint.estimator is not None and stage.estimator is not None:
-                stage.estimator.restore(checkpoint.estimator)
-            stage.exceptions.restore(checkpoint.exceptions)
-            if checkpoint.processor_state is not None:
-                processor.restore(checkpoint.processor_state)
-            stage.eos.restore(checkpoint.eos_seen)
-            stage.cursors = dict(checkpoint.cursors)
-        else:
-            stage.eos.restore(0)
-            stage.cursors = {}
+        stage.core.setup(
+            processor,
+            checkpoint or StageCheckpoint(stage=stage.name, time=self.env.now),
+            restoring=True,
+        )
+        stage.cursors = dict(checkpoint.cursors) if checkpoint is not None else {}
         return checkpoint
 
     def _rewire_stage(self, stage: _StageRuntime) -> None:
         """Re-route every edge touching a stage after its host changed."""
         for edge in stage.out_edges:
             self._wire_edge(edge, stage)
-        for up in stage.upstream:
+        for up_core in stage.core.upstream:
+            up = self._stages[up_core.name]
             for edge in up.out_edges:
                 if edge.dst is stage:
                     self._wire_edge(edge, up)
@@ -1488,23 +1170,7 @@ class SimulatedRuntime:
                 # The source host died mid-plan: the queue content is
                 # gone with it, so fall through to the ordinary failover
                 # restore (checkpoint + replay, at-least-once).
-                before_r = self.metrics.counter(
-                    f"recovery.{stage.name}.items_replayed"
-                ).value
-                before_d = self.metrics.counter(
-                    f"recovery.{stage.name}.duplicates"
-                ).value
-                self._restore_stage(stage)
-                replayed = int(
-                    self.metrics.counter(
-                        f"recovery.{stage.name}.items_replayed"
-                    ).value - before_r
-                )
-                duplicates = int(
-                    self.metrics.counter(
-                        f"recovery.{stage.name}.duplicates"
-                    ).value - before_d
-                )
+                replayed, duplicates = self._restore_stage(stage)
             else:
                 self._switch_stage(stage)
             pause = self.env.now - requested_at
@@ -1568,19 +1234,12 @@ class SimulatedRuntime:
         stage.checkpoint_due = False
         self._spawn_worker(stage)
 
-    def _quarantine(self, stage: _StageRuntime, payload: Any, exc: BaseException, reason: str) -> None:
-        assert self.resilience is not None and self.dead_letters is not None
-        self.metrics.counter(f"fault.{stage.name}.quarantined").inc()
-        if self.resilience.error_policy == "dead-letter":
-            self.dead_letters.add(
-                DeadLetter(
-                    stage=stage.name,
-                    payload=payload,
-                    time=self.env.now,
-                    error=repr(exc),
-                    reason=reason,
-                )
-            )
+    def _quarantine(
+        self, stage: _StageRuntime, payload: Any, exc: BaseException, reason: str
+    ) -> bool:
+        """Quarantine one poison item and log it; False = must propagate."""
+        if not stage.core.quarantine(payload, exc, reason):
+            return False
         if self._result is not None:
             self._result.events.log(
                 self.env.now,
@@ -1589,3 +1248,4 @@ class SimulatedRuntime:
                 reason=reason,
                 error=repr(exc),
             )
+        return True

@@ -32,14 +32,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import ExceptionCounter
-from repro.core.api import AdjustmentParameter, ProcessorError, StageContext, StreamProcessor
-from repro.core.batching import BatchBuffer, BatchPolicy, batch_policy_from_properties
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
-from repro.core.results import RunResult, StageStats
+from repro.core.results import RunResult
+from repro.core.runtime_sim import SourceBinding
 from repro.core.sharding import (
     SHARD_GROUP_PROPERTY,
     ShardGroup,
@@ -49,18 +47,13 @@ from repro.core.sharding import (
     extract_key,
     groups_of,
     import_keyed_state,
-    logical_stream,
 )
-from repro.core.termination import EosTracker, no_input_message
-from repro.metrics.rates import RateEstimator
-from repro.obs.registry import BatchMetrics, Counter, MetricsRegistry, StageMetrics
+from repro.core.stagecore import OutEdge, StageCore
+from repro.core.termination import no_input_message
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    MemoryCheckpointStore,
-    StageCheckpoint,
-)
-from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
+from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
 from repro.simnet.hosts import CpuCostModel
 from repro.simnet.links import TokenBucket
 
@@ -151,21 +144,11 @@ class _MonitoredQueue:
             self._not_full.notify_all()
 
     def get(self, timeout: Optional[float] = None) -> Any:
-        with self._lock:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._items:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("queue get timed out")
-                self._not_empty.wait(remaining)
-            item = self._items.popleft()
-            self._recent.append(len(self._items))
-            self._not_full.notify()
-            return item
+        return self.get_many(1, timeout)[0]
 
     def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[Any]:
-        """Block for the first item (as :meth:`get`), then drain up to
-        ``max_items`` without further waiting."""
+        """Block for the first item (up to ``timeout`` seconds; None =
+        forever), then drain up to ``max_items`` without further waiting."""
         with self._lock:
             deadline = None if timeout is None else time.monotonic() + timeout
             while not self._items:
@@ -191,80 +174,6 @@ class _MonitoredQueue:
             return sum(self._recent) / len(self._recent)
 
 
-class _ThreadStageContext(StageContext):
-    """Wall-clock stage context."""
-
-    def __init__(self, stage: "_ThreadStage", runtime: "ThreadedRuntime") -> None:
-        self._stage = stage
-        self._runtime = runtime
-        self._in_setup = False
-        #: True while a replacement processor re-runs setup() during a
-        #: live migration: re-declaring an existing parameter then binds
-        #: to the live one (its adapted value survives the move).
-        self._restoring = False
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            if self._restoring:
-                return self._stage.parameters[name]
-            raise ProcessorError(f"{self._stage.name}: parameter {name!r} declared twice")
-        param = AdjustmentParameter(name, initial, minimum, maximum, increment, direction)
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(param, self._runtime.policy)
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        with self._stage.param_lock:
-            try:
-                return self._stage.parameters[name].value
-            except KeyError:
-                raise ProcessorError(
-                    f"{self._stage.name}: unknown parameter {name!r}"
-                ) from None
-
-    def emit(self, payload: Any, size: float = 8.0, stream: Optional[str] = None) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        # A processor written against the declared configuration may name
-        # a logical stream that sharding expanded into per-replica edges
-        # ("t" -> "t#0", "t#1", ...), so logical names are accepted too.
-        if stream is not None and not any(
-            e.name is not None
-            and (e.name == stream or logical_stream(e.name) == stream)
-            for e in self._stage.out_edges
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r}"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._runtime.elapsed()
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
 @dataclass
 class _ThreadEdge:
     dst: "_ThreadStage"
@@ -273,75 +182,21 @@ class _ThreadEdge:
 
 
 @dataclass
-class _RouteUnit:
-    """One routing decision per emitted item: a solo edge or a shard family.
-
-    A solo unit carries exactly one edge index; a family unit carries one
-    edge index per replica slot of ``group`` (position == shard index),
-    of which the group's partitioner picks exactly one per item.
-    """
-
-    #: Stream names addressing this unit via ``emit(..., stream=...)``
-    #: (``None`` — broadcast — always matches every unit).
-    accepts: frozenset
-    #: Indices into the stage's ``out_edges``.
-    edges: List[int]
-    #: Shard-group name for family units; None for solo units.
-    group: Optional[str] = None
-    #: Concrete edge name -> edge index (family units), letting an emit
-    #: target one specific replica explicitly.
-    named: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _GroupState:
-    """Mutable runtime state of one shard group (threaded runtime).
-
-    ``lock`` serializes routing decisions against scale transitions: a
-    producer holds it per routed item, the autoscaler holds it for a
-    whole rebalance, so no item is partitioned with a stale active count
-    while keyed state is in flight.
-    """
-
-    group: ShardGroup
-    active: int
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-@dataclass
 class _ThreadStage:
     name: str
-    processor: StreamProcessor
     queue: _MonitoredQueue
-    properties: Dict[str, str]
-    eos: EosTracker = field(default_factory=EosTracker)
+    core: StageCore
     out_edges: List[_ThreadEdge] = field(default_factory=list)
-    upstream: List["_ThreadStage"] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_ThreadStageContext] = None
-    #: Registry-backed metric handles (items/bytes/latency/queue...).
-    metrics: Optional[StageMetrics] = None
-    #: Effective micro-batch policy (max_delay pre-scaled to wall seconds);
-    #: None means one-at-a-time emission.
-    batch: Optional[BatchPolicy] = None
-    #: One accumulating buffer per out-edge (parallel to ``out_edges``),
-    #: holding (item, parent-hop) entries; built at run() start.
-    batch_buffers: List[BatchBuffer] = field(default_factory=list)
-    batch_metrics: Optional[BatchMetrics] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    #: Routing units built at run() start (see :class:`_RouteUnit`).
-    route_units: List[_RouteUnit] = field(default_factory=list)
     #: ``shard.{stage}.items`` counter handle (replica stages only).
     shard_items: Optional[Counter] = None
-    #: Items routed to this stage through a shard group (written under
+    #: Items routed to this stage through a shard group (reserved under
     #: the group's lock) vs items its worker finished with (written by
     #: the worker thread only).  The autoscaler drains a group by waiting
     #: for the two to meet.
     delivered: int = 0
     consumed: int = 0
+    #: Serializes the Section-4 monitor tick (which adjusts parameters)
+    #: against the checkpointer's parameter snapshot.
     param_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Serializes arrival-rate observations (several producer threads
     #: feed one queue; the estimator requires non-decreasing times).
@@ -355,13 +210,40 @@ class _ThreadStage:
 
 
 @dataclass
-class _ThreadSource:
-    name: str
-    target: str
-    payloads: Iterable[Any]
-    rate: Optional[float]
-    item_size: float | Callable[[Any], float]
-    arrivals: Optional[Any] = None
+class _GroupState:
+    """Runtime state of one shard group (threaded runtime).
+
+    ``lock`` serializes routing decisions against scale transitions: a
+    producer holds it while it picks an item's owner and reserves the
+    delivery, the autoscaler holds it for a whole rebalance, so no item
+    is partitioned with a stale active count while keyed state is in
+    flight.
+    """
+
+    group: ShardGroup
+    members: List[_ThreadStage]
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def select(self, payload: Any, slot: Optional[int]) -> int:
+        """Pick the owning replica and reserve the delivery to it.
+
+        The reservation (``delivered``) is taken under the routing lock
+        together with the owner decision; the hand-off itself happens
+        after the lock is released.  A rebalance therefore waits for
+        every reserved item to be delivered and consumed before it
+        moves keyed state, and a throttled or full replica stalls only
+        the producer, never the routing lock.
+        """
+        group = self.group
+        with self.lock:
+            if slot is None:
+                slot = group.partitioner.select(extract_key(payload, group.shard_by), group.active)
+            self.members[slot].delivered += 1
+        return slot
+
+
+def _daemon(target: Callable[..., None], *args: Any) -> threading.Thread:
+    return threading.Thread(target=target, args=args, daemon=True)
 
 
 class ThreadedRuntime:
@@ -425,7 +307,7 @@ class ThreadedRuntime:
         elif checkpoints is not None:
             raise ThreadedRuntimeError("checkpoints= requires resilience= as well")
         self._stages: Dict[str, _ThreadStage] = {}
-        self._sources: List[_ThreadSource] = []
+        self._sources: List[SourceBinding] = []
         self._groups: Dict[str, _GroupState] = {}
         self._start_time = 0.0
         self._started = False
@@ -500,29 +382,18 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError(f"duplicate stage {name!r}")
         if not isinstance(processor, StreamProcessor):
             raise ThreadedRuntimeError(f"{name}: processor must be a StreamProcessor")
-        capacity = queue_capacity or self.DEFAULT_QUEUE_CAPACITY
-        stage = _ThreadStage(
-            name=name,
-            processor=processor,
-            queue=_MonitoredQueue(capacity, self.policy.window),
-            properties=dict(properties or {}),
+        queue = _MonitoredQueue(
+            queue_capacity or self.DEFAULT_QUEUE_CAPACITY, self.policy.window
         )
-        try:
-            effective = batch_policy_from_properties(stage.properties, self.batch)
-        except ValueError as exc:
-            raise ThreadedRuntimeError(f"{name}: {exc}") from None
-        if effective is not None and effective.enabled:
-            # Pre-scale the age bound once so BatchBuffer deadlines compare
-            # directly against elapsed() wall-clock time.
-            stage.batch = BatchPolicy(
-                max_items=effective.max_items,
-                max_delay=effective.max_delay * self.time_scale,
-            )
-        stage.metrics = StageMetrics(self.metrics, name)
-        stage.estimator = LoadEstimator(name, stage.queue, self.policy)
-        self.metrics.series(f"adapt.{name}.d_tilde", stage.estimator.history)
-        stage.context = _ThreadStageContext(stage, self)
-        self._stages[name] = stage
+        core = StageCore(
+            name, dict(properties or {}), queue, self.policy, self.metrics,
+            clock=self.elapsed, error=ThreadedRuntimeError, batch=self.batch,
+            time_scale=self.time_scale, resilience=self.resilience,
+            dead_letters=self.dead_letters,
+        )
+        # The processor is set up at run() start, once the edges exist.
+        core.processor = processor
+        self._stages[name] = _ThreadStage(name=name, queue=queue, core=core)
 
     def connect(
         self,
@@ -555,8 +426,8 @@ class ThreadedRuntime:
                 rate=bandwidth, burst=max(1.0, bandwidth * 0.01), clock=time.monotonic
             )
         source.out_edges.append(_ThreadEdge(dst=target, bucket=bucket, name=name))
-        target.upstream.append(source)
-        target.eos.expect(group=source.properties.get(SHARD_GROUP_PROPERTY))
+        target.core.upstream.append(source.core)
+        target.core.eos.expect(group=source.core.properties.get(SHARD_GROUP_PROPERTY))
 
     def bind_source(
         self,
@@ -580,14 +451,14 @@ class ThreadedRuntime:
         if self._started:
             raise ThreadedRuntimeError("cannot bind sources after run()")
         if target not in self._stages and not any(
-            s.properties.get(SHARD_GROUP_PROPERTY) == target
+            s.core.properties.get(SHARD_GROUP_PROPERTY) == target
             for s in self._stages.values()
         ):
             raise ThreadedRuntimeError(f"unknown stage {target!r}")
         if rate is not None and rate <= 0:
             raise ThreadedRuntimeError(f"rate must be > 0, got {rate}")
         self._sources.append(
-            _ThreadSource(name, target, payloads, rate, item_size, arrivals)
+            SourceBinding(name, target, payloads, rate, item_size, arrivals)
         )
 
     # -- execution ----------------------------------------------------------------
@@ -598,63 +469,37 @@ class ThreadedRuntime:
             raise ThreadedRuntimeError("run() may only be called once")
         self._build_shards()
         for source in self._sources:
-            state = self._groups.get(source.target)
+            state = self._groups.get(source.target_stage)
             if state is not None:
-                for member in state.group.members:
-                    self._stages[member].eos.expect(group=state.group.name)
+                for member in state.members:
+                    member.core.eos.expect(group=state.group.name)
             else:
-                self._stages[source.target].eos.expect()
+                self._stages[source.target_stage].core.eos.expect()
         for stage in self._stages.values():
-            if not stage.eos.has_inputs:
+            if not stage.core.eos.has_inputs:
                 raise ThreadedRuntimeError(no_input_message(stage.name))
         self._started = True
         self._start_time = time.monotonic()
         result = RunResult(app_name="threaded-app")
 
         for stage in self._stages.values():
-            if stage.batch is not None and stage.out_edges:
-                stage.batch_buffers = [
-                    BatchBuffer(stage.batch) for _ in stage.out_edges
-                ]
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
-            assert stage.context is not None
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
+            stage.core.setup(stage.core.processor)
 
         threads: List[threading.Thread] = []
         stop_monitors = threading.Event()
         for stage in self._stages.values():
-            threads.append(
-                threading.Thread(target=self._worker, args=(stage,), daemon=True)
-            )
+            threads.append(_daemon(self._worker, stage))
             if self.adaptation_enabled:
-                monitor = threading.Thread(
-                    target=self._monitor, args=(stage, stop_monitors), daemon=True
-                )
-                monitor.start()
+                _daemon(self._monitor, stage, stop_monitors).start()
             if (
                 self.resilience is not None
                 and self.resilience.checkpoint_interval is not None
             ):
-                checkpointer = threading.Thread(
-                    target=self._checkpointer, args=(stage, stop_monitors), daemon=True
-                )
-                checkpointer.start()
+                _daemon(self._checkpointer, stage, stop_monitors).start()
         for state in self._groups.values():
             if state.group.policy.elastic:
-                autoscaler = threading.Thread(
-                    target=self._autoscaler, args=(state, stop_monitors), daemon=True
-                )
-                autoscaler.start()
-        for source in self._sources:
-            threads.append(
-                threading.Thread(target=self._feeder, args=(source,), daemon=True)
-            )
+                _daemon(self._autoscaler, state, stop_monitors).start()
+        threads.extend(_daemon(self._feeder, source) for source in self._sources)
         for thread in threads:
             thread.start()
 
@@ -675,20 +520,12 @@ class ThreadedRuntime:
         result.execution_time = self.elapsed()
         self.metrics.gauge("run.execution_time").set(result.execution_time)
         for group_name, state in self._groups.items():
-            self.metrics.gauge(f"shard.{group_name}.replicas").set(float(state.active))
+            self.metrics.gauge(f"shard.{group_name}.replicas").set(float(state.group.active))
         if self.tracer is not None:
             result.traces = self.tracer.traces
             publish_traces(self.metrics, result.traces)
         for stage in self._stages.values():
-            assert stage.metrics is not None
-            stage.metrics.arrival_rate.set(
-                stage.rate_estimator.decayed_rate(self.elapsed())
-            )
-            result.stages[stage.name] = StageStats.from_registry(
-                self.metrics, stage.name,
-                host_name="local-thread",
-                final_value=stage.processor.result(),
-            )
+            result.stages[stage.name] = stage.core.stats(self.elapsed(), "local-thread")
         result.metrics = self.metrics
         return result
 
@@ -704,20 +541,21 @@ class ThreadedRuntime:
         not ``n`` zero-gap observations.
         """
         with stage.rate_lock:
-            stage.rate_estimator.observe(self.elapsed(), count=count)
+            stage.core.arrivals.observe(self.elapsed(), count=count)
 
-    def _feeder(self, source: _ThreadSource) -> None:
-        state = self._groups.get(source.target)
+    def _feeder(self, source: SourceBinding) -> None:
+        state = self._groups.get(source.target_stage)
         if state is not None:
             self._feed_group(source, state)
             return
-        stage = self._stages[source.target]
+        stage = self._stages[source.target_stage]
         gaps = source.arrivals.gaps() if source.arrivals is not None else None
         fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
         # When the target stage batches, back-to-back arrivals (no pacing
         # gap) are handed over in chunks of the stage's batch size — one
         # lock round-trip and one rate observation per chunk.
-        chunk_limit = stage.batch.max_items if stage.batch is not None else 1
+        batch = stage.core.batch
+        chunk_limit = batch.max_items if batch is not None else 1
         chunk: List[Item] = []
 
         def flush_chunk() -> None:
@@ -735,13 +573,8 @@ class ThreadedRuntime:
             if gap:
                 flush_chunk()
                 time.sleep(gap)
-            size = (
-                float(source.item_size(payload))
-                if callable(source.item_size)
-                else float(source.item_size)
-            )
             item = Item(
-                payload=payload, size=size, origin=source.name,
+                payload=payload, size=source.size_of(payload), origin=source.name,
                 created_at=self.elapsed(),
             )
             if self.tracer is not None:
@@ -755,15 +588,16 @@ class ThreadedRuntime:
         flush_chunk()
         stage.queue.put(EndOfStream(origin=source.name))
 
-    def _feed_group(self, source: _ThreadSource, state: _GroupState) -> None:
+    def _feed_group(self, source: SourceBinding, state: _GroupState) -> None:
         """Feeder body for a source bound to a shard group.
 
-        Each payload goes to its key's owning replica under the group's
-        routing lock; every replica slot (active or not) receives one
-        end-of-stream sentinel, matching the per-member expectations
-        registered by :meth:`run`.
+        Each payload goes to its key's owning replica, picked and
+        reserved under the group's routing lock (:meth:`_GroupState.select`);
+        every replica slot (active or not) receives one end-of-stream
+        sentinel, matching the per-member expectations registered by
+        :meth:`run`.
         """
-        members = [self._stages[name] for name in state.group.members]
+        members = state.members
         gaps = source.arrivals.gaps() if source.arrivals is not None else None
         fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
         for payload in source.payloads:
@@ -783,15 +617,10 @@ class ThreadedRuntime:
                 item.trace = self.tracer.maybe_trace(source.name, item.created_at)
                 if item.trace is not None:
                     self.metrics.counter("run.traced_items").inc()
-            with state.lock:
-                owner = state.group.partitioner.select(
-                    extract_key(payload, state.group.shard_by), state.active
-                )
-                member = members[owner]
-                if item.trace is not None:
-                    item.hop = item.trace.begin_hop(member.name, self.elapsed())
-                member.queue.put(item)
-                member.delivered += 1
+            member = members[state.select(payload, None)]
+            if item.trace is not None:
+                item.hop = item.trace.begin_hop(member.name, self.elapsed())
+            member.queue.put(item)
             self._observe_arrival(member)
             if member.shard_items is not None:
                 member.shard_items.inc()
@@ -799,36 +628,27 @@ class ThreadedRuntime:
             member.queue.put(EndOfStream(origin=source.name))
 
     def _worker(self, stage: _ThreadStage) -> None:
-        ctx = stage.context
-        assert ctx is not None
-        batching = bool(stage.batch_buffers)
+        core = stage.core
+        metrics = core.metrics
+        batch = core.batch
+        batching = batch is not None and bool(stage.out_edges)
         # Chunked input drain applies to every stage under a batch policy
         # (sinks included — they have no output buffers but still benefit
         # from amortized queue locking and aggregated accounting).
-        chunked = stage.batch is not None
-        cost_model = stage.processor.cost_model
+        cost_model = core.processor.cost_model
         free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
         local: deque = deque()
         try:
             while True:
                 if not local:
                     try:
-                        if chunked:
-                            assert stage.batch is not None
+                        if batch is not None:
                             drained = stage.queue.get_many(
-                                stage.batch.max_items,
-                                timeout=self._next_flush_timeout(stage),
+                                batch.max_items,
+                                timeout=core.flush_timeout(),
                             )
                             local.extend(drained)
-                            assert stage.metrics is not None
-                            count, nbytes_in = 0, 0.0
-                            for msg in drained:
-                                if not isinstance(msg, EndOfStream):
-                                    count += 1
-                                    nbytes_in += msg.size
-                            if count:
-                                stage.metrics.items_in.inc(count)
-                                stage.metrics.bytes_in.inc(nbytes_in)
+                            core.arrived(drained)
                         else:
                             local.append(stage.queue.get())
                     except TimeoutError:
@@ -838,49 +658,48 @@ class ThreadedRuntime:
                         continue
                 message = local.popleft()
                 if isinstance(message, EndOfStream):
-                    if not stage.eos.observe():
+                    if not core.eos.observe():
                         continue
                     with stage.state_lock:
-                        stage.processor.flush(ctx)
-                        ctx.det.finalize_stage(stage.processor)
+                        core.processor.flush(core)
+                        core.det.finalize_stage(core.processor)
                     self._transmit_pending(stage)
-                    self._flush_all(stage)
+                    for index in range(len(stage.out_edges)):
+                        self._flush_edge(stage, index)
                     for edge in stage.out_edges:
                         edge.dst.queue.put(EndOfStream(origin=stage.name))
                     return
-                assert stage.metrics is not None
-                if not chunked:
-                    stage.metrics.items_in.inc()
-                    stage.metrics.bytes_in.inc(message.size)
+                if batch is None:
+                    metrics.items_in.inc()
+                    metrics.bytes_in.inc(message.size)
                 hop = message.hop
                 if hop is not None:
                     hop.dequeue_t = self.elapsed()
                 if not free:
-                    items, nbytes = stage.processor.work_amount(
+                    items, nbytes = core.processor.work_amount(
                         message.payload, message.size
                     )
                     cost = cost_model.cost(items, nbytes)
                     if cost > 0:
                         time.sleep(cost * self.time_scale)
-                        stage.metrics.busy_seconds.inc(cost * self.time_scale)
+                        metrics.busy_seconds.inc(cost * self.time_scale)
                         if hop is not None:
                             hop.process_t += cost * self.time_scale
-                mark = len(ctx.pending)
+                mark = len(core.pending)
                 try:
                     with stage.state_lock:
-                        stage.processor.on_item(message.payload, ctx)
+                        core.processor.on_item(message.payload, core)
                 except Exception as exc:
-                    if self.resilience is None or self.resilience.error_policy == "fail":
+                    if not core.quarantine(message.payload, exc, "processing"):
                         raise
                     # Poison item: drop whatever it half-emitted (earlier
-                    # chunk-mates' deferred emissions stay), quarantine
-                    # it, and keep the stage alive (skip / dead-letter).
-                    del ctx.pending[mark:]
-                    self._quarantine(stage, message.payload, exc)
+                    # chunk-mates' deferred emissions stay) and keep the
+                    # stage alive (skip / dead-letter).
+                    del core.pending[mark:]
                     stage.consumed += 1
                     continue
                 stage.consumed += 1
-                stage.metrics.latency.observe(self.elapsed() - message.created_at)
+                metrics.latency.observe(self.elapsed() - message.created_at)
                 if batching:
                     # Transmission happens at flush time; _flush_edge
                     # shares the measured wait across the batch's parent
@@ -914,139 +733,53 @@ class ThreadedRuntime:
         finally:
             stage.done.set()
 
-    def _transmit_pending(
-        self, stage: _ThreadStage, trace=None, hop=None
-    ) -> None:
-        ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
-        if not ctx.pending:
-            return
-        pending, ctx.pending = ctx.pending, []
-        if stage.batch_buffers:
-            # Batched fast path: accumulate per-edge, flush on max_items.
-            # Items are stamped created_at=now here — time spent waiting
-            # in the buffer is real latency and is accounted downstream.
-            # Family (sharded) edges bypass the buffers and ship per item:
-            # a buffered item routed with a pre-rebalance active count
-            # would land on a stale owner after the handoff.
-            now = self.elapsed()
-            flush: List[int] = []
-            nbytes_out = 0.0
-            for payload, size, stream in pending:
-                nbytes_out += size
-                for unit in stage.route_units:
-                    if stream is not None and stream not in unit.accepts:
-                        continue
-                    if unit.group is not None:
-                        self._send_family(stage, unit, payload, size, stream, trace)
-                        continue
-                    index = unit.edges[0]
-                    item = Item(
-                        payload=payload, size=size, origin=stage.name,
-                        created_at=now, trace=trace,
-                    )
-                    full = stage.batch_buffers[index].add((item, hop), now)
-                    if full and index not in flush:
-                        flush.append(index)
-            stage.metrics.items_out.inc(len(pending))
-            stage.metrics.bytes_out.inc(nbytes_out)
-            for index in flush:
-                self._flush_edge(stage, index)
-            return
-        for payload, size, stream in pending:
-            stage.metrics.items_out.inc()
-            stage.metrics.bytes_out.inc(size)
-            for unit in stage.route_units:
-                if stream is not None and stream not in unit.accepts:
-                    continue
-                if unit.group is not None:
-                    self._send_family(stage, unit, payload, size, stream, trace)
-                    continue
-                edge = stage.out_edges[unit.edges[0]]
-                if edge.bucket is not None:
-                    wait = edge.bucket.consume(size)
-                    if wait > 0:
-                        time.sleep(wait * self.time_scale)
-                item = Item(
-                    payload=payload, size=size, origin=stage.name,
-                    created_at=self.elapsed(), trace=trace,
-                )
-                if trace is not None:
-                    # Open the hop before the put: the downstream worker
-                    # may dequeue immediately.  Emissions share the parent
-                    # item's trace.
-                    item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
-                edge.dst.queue.put(item)
-                self._observe_arrival(edge.dst)
+    def _transmit_pending(self, stage: _ThreadStage, trace=None, hop=None) -> None:
+        """Route the stage's emissions.
 
-    def _send_family(
-        self,
-        stage: _ThreadStage,
-        unit: _RouteUnit,
-        payload: Any,
-        size: float,
-        stream: Optional[str],
-        trace=None,
-    ) -> None:
-        """Ship one emission across a shard family: exactly one replica.
-
-        The owner is the key's replica under the group's partitioner and
-        current active count, chosen and delivered under the group's
-        routing lock so a concurrent rebalance never splits a key's items
-        between the old and the new owner.  Naming a concrete per-replica
-        stream (``"t#1"``) overrides the partitioner for that emission.
+        Buffered edges accumulate (stamped ``created_at=now``: time spent
+        waiting in the buffer is real latency, accounted downstream) and
+        ship when full.  Unbuffered edges — every edge without a batch
+        policy, and shard-family edges always, since a buffered item
+        routed with a pre-rebalance active count would land on a stale
+        owner after the handoff — ship per item.
         """
-        state = self._groups[unit.group or ""]
-        wait = 0.0
-        with state.lock:
-            if stream is not None and stream in unit.named:
-                edge = stage.out_edges[unit.named[stream]]
-            else:
-                owner = state.group.partitioner.select(
-                    extract_key(payload, state.group.shard_by), state.active
-                )
-                edge = stage.out_edges[unit.edges[owner]]
-            if edge.bucket is not None:
-                wait = edge.bucket.consume(size)
-            item = Item(
-                payload=payload, size=size, origin=stage.name,
-                created_at=self.elapsed(), trace=trace,
-            )
-            if trace is not None:
-                item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
-            edge.dst.queue.put(item)
-            edge.dst.delivered += 1
-        if wait > 0:
-            # The bucket already charged this emission; sleeping out here
-            # paces the producer identically but keeps the routing lock
-            # short — a throttled edge must stall only this thread, not
-            # every producer routing to the group (and the autoscaler).
-            time.sleep(wait * self.time_scale)
+        core = stage.core
+        if not core.pending:
+            return
+        for index, payload, size in core.drain(self.elapsed(), trace, hop):
+            self._send(stage, index, payload, size, trace)
+        for index in core.take_full():
+            self._flush_edge(stage, index)
+
+    def _send(
+        self, stage: _ThreadStage, index: int, payload: Any, size: float, trace=None
+    ) -> None:
+        """Hand one emission to an edge's destination queue.
+
+        A throttled edge first sleeps out its token-bucket charge, so
+        the item arrives once its transmission time has passed.
+        Emissions share the parent item's trace; the hop opens before
+        the put because the downstream worker may dequeue immediately.
+        """
+        edge = stage.out_edges[index]
+        if edge.bucket is not None:
+            wait = edge.bucket.consume(size)
+            if wait > 0:
+                time.sleep(wait * self.time_scale)
+        item = Item(
+            payload=payload, size=size, origin=stage.name,
+            created_at=self.elapsed(), trace=trace,
+        )
+        if trace is not None:
+            item.hop = trace.begin_hop(edge.dst.name, self.elapsed())
+        edge.dst.queue.put(item)
         self._observe_arrival(edge.dst)
-        if edge.dst.shard_items is not None:
-            edge.dst.shard_items.inc()
 
     # -- micro-batch flushing ----------------------------------------------
 
-    def _next_flush_timeout(self, stage: _ThreadStage) -> Optional[float]:
-        """Seconds until the oldest buffered batch hits its age bound."""
-        deadlines = [
-            d for d in (b.deadline() for b in stage.batch_buffers) if d is not None
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - self.elapsed())
-
     def _flush_due(self, stage: _ThreadStage) -> None:
-        now = self.elapsed()
-        for index, buffer in enumerate(stage.batch_buffers):
-            if buffer.due(now):
-                self._flush_edge(stage, index, age=True)
-
-    def _flush_all(self, stage: _ThreadStage) -> None:
-        for index in range(len(stage.batch_buffers)):
-            self._flush_edge(stage, index)
+        for index in stage.core.due():
+            self._flush_edge(stage, index, age=True)
 
     def _flush_edge(self, stage: _ThreadStage, index: int, age: bool = False) -> None:
         """Ship one edge's accumulated batch downstream.
@@ -1055,32 +788,28 @@ class ThreadedRuntime:
         whole batch; the measured transmission wait is shared equally
         across the batch's traced parent hops.
         """
-        buffer = stage.batch_buffers[index]
-        entries = buffer.drain()
+        entries = stage.core.take_batch(index, age)
         if not entries:
             return
         edge = stage.out_edges[index]
         count = len(entries)
-        assert stage.batch_metrics is not None
-        stage.batch_metrics.batches.inc()
-        stage.batch_metrics.items.inc(count)
-        stage.batch_metrics.flush_size.observe(float(count))
-        if age:
-            stage.batch_metrics.age_flushes.inc()
         tx_wall = 0.0
         if edge.bucket is not None:
-            wait = edge.bucket.consume(sum(item.size for item, _ in entries))
+            wait = edge.bucket.consume(sum(entry[1] for entry in entries))
             if wait > 0:
                 tx_wall = wait * self.time_scale
                 time.sleep(tx_wall)
         share = tx_wall / count
         now = self.elapsed()
         items: List[Item] = []
-        for item, parent_hop in entries:
+        for payload, size, created, trace, parent_hop in entries:
             if parent_hop is not None and share > 0:
                 parent_hop.tx_t += share
-            if item.trace is not None:
-                item.hop = item.trace.begin_hop(edge.dst.name, now)
+            item = Item(
+                payload=payload, size=size, origin=stage.name, created_at=created, trace=trace
+            )
+            if trace is not None:
+                item.hop = trace.begin_hop(edge.dst.name, now)
             items.append(item)
         edge.dst.queue.put_many(items)
         self._observe_arrival(edge.dst, count=count)
@@ -1088,75 +817,36 @@ class ThreadedRuntime:
     # -- sharding and elastic scaling ---------------------------------------
 
     def _build_shards(self) -> None:
-        """Discover shard groups and build every stage's routing units.
+        """Discover shard groups and wire every stage's routing table.
 
         Runs once at :meth:`run` start: reconstructs the groups from the
         expanded stages' properties, binds the ``shard.{stage}.items``
-        counters, and turns each stage's flat out-edge list into
-        :class:`_RouteUnit` entries — solo edges as-is, per-replica edge
-        families collapsed into one partitioned unit each.
+        counters, and hands each stage's out-edges to its core.  Edges
+        into a shard group get no batch buffer: they route per item
+        under the group's lock (see :meth:`_GroupState.select`).
         """
-        properties = {name: s.properties for name, s in self._stages.items()}
+        groups = groups_of({name: s.core.properties for name, s in self._stages.items()})
         self._groups = {
-            name: _GroupState(group=group, active=group.active)
-            for name, group in groups_of(properties).items()
+            name: _GroupState(group, [self._stages[m] for m in group.members])
+            for name, group in groups.items()
         }
         member_slot: Dict[str, Tuple[str, int]] = {}
         for group_name, state in self._groups.items():
-            for index, member in enumerate(state.group.members):
-                member_slot[member] = (group_name, index)
-            for member in state.group.members:
-                self._stages[member].shard_items = self.metrics.counter(
-                    f"shard.{member}.items"
-                )
+            for index, member in enumerate(state.members):
+                member_slot[member.name] = (group_name, index)
+                member.shard_items = self.metrics.counter(f"shard.{member.name}.items")
+        families = {
+            name: (len(state.members), state.select)
+            for name, state in self._groups.items()
+        }
         for stage in self._stages.values():
-            units: List[_RouteUnit] = []
-            families: Dict[Tuple[str, str], Dict[int, Tuple[int, str]]] = {}
-            order: List[Tuple[str, str]] = []
-            for index, edge in enumerate(stage.out_edges):
-                slot = member_slot.get(edge.dst.name)
-                if slot is None or edge.name is None:
-                    accepts = frozenset(
-                        name
-                        for name in (
-                            edge.name,
-                            logical_stream(edge.name) if edge.name else None,
-                        )
-                        if name is not None
-                    )
-                    units.append(_RouteUnit(accepts=accepts, edges=[index]))
-                    continue
-                group_name, shard_index = slot
-                key = (logical_stream(edge.name), group_name)
-                if key not in families:
-                    order.append(key)
-                families.setdefault(key, {})[shard_index] = (index, edge.name)
-            for key in order:
-                logical, group_name = key
-                mapping = families[key]
-                slots = len(self._groups[group_name].group.members)
-                if set(mapping) != set(range(slots)):
-                    # Partial wiring (programmatic): no safe partition
-                    # function over a ragged family — keep each edge solo.
-                    for shard_index in sorted(mapping):
-                        index, name = mapping[shard_index]
-                        units.append(
-                            _RouteUnit(
-                                accepts=frozenset({name, logical}),
-                                edges=[index],
-                            )
-                        )
-                    continue
-                named = {mapping[i][1]: mapping[i][0] for i in range(slots)}
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset({logical}) | frozenset(named),
-                        edges=[mapping[i][0] for i in range(slots)],
-                        group=group_name,
-                        named=named,
-                    )
+            edges = []
+            for edge in stage.out_edges:
+                group, slot = member_slot.get(edge.dst.name, (None, 0))
+                edges.append(
+                    OutEdge(edge.name, edge.dst.name, group, slot, buffered=group is None)
                 )
-            stage.route_units = units
+            stage.core.wire(edges, families)
 
     def _autoscaler(self, state: _GroupState, stop: threading.Event) -> None:
         """Per-group control loop: occupancy samples in, rebalances out.
@@ -1168,8 +858,8 @@ class ThreadedRuntime:
         recorded in the ``scale.*`` metric family.
         """
         group_name = state.group.name
-        members = [self._stages[name] for name in state.group.members]
-        scaler = ShardScaler(state.group.policy, state.active)
+        members = state.members
+        scaler = ShardScaler(state.group.policy, state.group.active)
         replicas_series = self.metrics.series(f"scale.{group_name}.replicas")
         scale_ups = self.metrics.counter(f"scale.{group_name}.scale_ups")
         scale_downs = self.metrics.counter(f"scale.{group_name}.scale_downs")
@@ -1177,18 +867,18 @@ class ThreadedRuntime:
             f"scale.{group_name}.rebalance_seconds"
         )
         interval = self.policy.sample_interval * self.time_scale
-        replicas_series.record(self.elapsed(), float(state.active))
+        replicas_series.record(self.elapsed(), float(state.group.active))
         while not stop.is_set():
             if stop.wait(interval):
                 return
             if all(member.done.is_set() for member in members):
                 return
-            active_members = members[: state.active]
+            active_members = members[: state.group.active]
             occupancy = sum(
                 min(1.0, m.queue.current_length / m.queue.capacity)
                 for m in active_members
             ) / len(active_members)
-            previous = state.active
+            previous = state.group.active
             target = scaler.observe(occupancy)
             if target is None or target == previous:
                 continue
@@ -1196,11 +886,11 @@ class ThreadedRuntime:
             if self._rebalance(state, members, target):
                 rebalance_seconds.observe(time.monotonic() - started)
                 (scale_ups if target > previous else scale_downs).inc()
-                replicas_series.record(self.elapsed(), float(state.active))
+                replicas_series.record(self.elapsed(), float(state.group.active))
             else:
                 # Transition aborted (a member finished or died mid-drain);
                 # resync the scaler with reality.
-                scaler.active = state.active
+                scaler.active = state.group.active
 
     def _rebalance(
         self, state: _GroupState, members: List[_ThreadStage], target: int
@@ -1219,7 +909,7 @@ class ThreadedRuntime:
         """
         group = state.group
         with state.lock:
-            previous = state.active
+            previous = group.active
             while any(m.delivered > m.consumed for m in members[:previous]):
                 if any(m.done.is_set() for m in members):
                     return False
@@ -1231,7 +921,7 @@ class ThreadedRuntime:
             exported = False
             for member in members[:previous]:
                 with member.state_lock:
-                    keyed = export_keyed_state(member.processor)
+                    keyed = export_keyed_state(member.core.processor)
                 if keyed is not None:
                     exported = True
                     merged.update(keyed)
@@ -1242,26 +932,9 @@ class ThreadedRuntime:
                 for index in range(target):
                     member = members[index]
                     with member.state_lock:
-                        import_keyed_state(member.processor, buckets[index])
-            state.active = target
+                        import_keyed_state(member.core.processor, buckets[index])
             group.active = target
         return True
-
-    def _quarantine(self, stage: _ThreadStage, payload: Any, exc: BaseException) -> None:
-        """Count (and under ``dead-letter``, retain) one poison item."""
-        assert self.resilience is not None
-        self.metrics.counter(f"fault.{stage.name}.quarantined").inc()
-        if self.resilience.error_policy == "dead-letter":
-            assert self.dead_letters is not None
-            self.dead_letters.add(
-                DeadLetter(
-                    stage=stage.name,
-                    payload=payload,
-                    time=self.elapsed(),
-                    error=repr(exc),
-                    reason="processing",
-                )
-            )
 
     def _checkpointer(self, stage: _ThreadStage, stop: threading.Event) -> None:
         """Snapshot ``stage`` every ``checkpoint_interval`` scaled seconds.
@@ -1283,21 +956,11 @@ class ThreadedRuntime:
 
     def _checkpoint_stage(self, stage: _ThreadStage) -> None:
         assert self.checkpoints is not None
+        core = stage.core
         with stage.state_lock:
-            processor_state = stage.processor.snapshot()
+            processor_state = core.processor.snapshot()
         with stage.param_lock:
-            parameters = {n: p.value for n, p in stage.parameters.items()}
-        checkpoint = StageCheckpoint(
-            stage=stage.name,
-            time=self.elapsed(),
-            generation=0,
-            processor_state=processor_state,
-            parameters=parameters,
-            estimator=stage.estimator.snapshot() if stage.estimator else None,
-            exceptions=stage.exceptions.snapshot(),
-            cursors={},
-            eos_seen=0,
-        )
+            checkpoint = core.checkpoint(processor_state)
         self.checkpoints.save(checkpoint)
         self.metrics.counter(f"recovery.{stage.name}.checkpoints").inc()
 
@@ -1326,39 +989,22 @@ class ThreadedRuntime:
         with lock:
             requested_at = self.elapsed()
             t0 = time.monotonic()
+            core = stage.core
             with stage.state_lock:
                 if stage.done.is_set():
                     raise ThreadedRuntimeError(
                         f"stage {stage_name!r} already finished; nothing to migrate"
                     )
-                state = stage.processor.snapshot()
-                replacement = (factory or type(stage.processor))()
+                state = core.processor.snapshot()
+                replacement = (factory or type(core.processor))()
                 if not isinstance(replacement, StreamProcessor):
                     raise ThreadedRuntimeError(
                         f"stage {stage_name!r}: replacement is not a "
                         f"StreamProcessor (got {type(replacement).__name__})"
                     )
-                ctx = stage.context
-                assert ctx is not None
-                pending_before = list(ctx.pending)
-                ctx.pending.clear()
-                ctx._in_setup = True
-                ctx._restoring = True
-                try:
-                    replacement.setup(ctx)
-                finally:
-                    ctx._in_setup = False
-                    ctx._restoring = False
-                if ctx.pending:
-                    raise ThreadedRuntimeError(
-                        f"stage {stage_name!r}: replacement emitted during "
-                        "setup(); emissions are only allowed from "
-                        "on_item()/flush()"
-                    )
-                ctx.pending.extend(pending_before)
+                core.setup(replacement, restoring=True)
                 if state is not None:
                     replacement.restore(state)
-                stage.processor = replacement
             pause = (time.monotonic() - t0) / self.time_scale
             self.metrics.counter(f"migration.{stage_name}.moves").inc()
             self.metrics.histogram(f"migration.{stage_name}.pause_seconds").observe(pause)
@@ -1378,26 +1024,9 @@ class ThreadedRuntime:
             return report
 
     def _monitor(self, stage: _ThreadStage, stop: threading.Event) -> None:
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        samples = 0
         interval = self.policy.sample_interval * self.time_scale
         while not stop.is_set() and not stage.done.is_set():
             if stop.wait(interval):
                 return
-            now = self.elapsed()
-            stage.metrics.queue_len.record(now, float(stage.queue.current_length))
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
-                for upstream in stage.upstream:
-                    upstream.exceptions.report(exception)
-                    assert upstream.metrics is not None
-                    upstream.metrics.exceptions_received.inc()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                with stage.param_lock:
-                    for controller in stage.controllers.values():
-                        controller.adjust(score, t1, t2, now)
+            with stage.param_lock:
+                stage.core.tick(self.elapsed())

@@ -47,6 +47,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchBuffer, BatchPolicy
 from repro.core.results import RunResult, StageStats
+from repro.core.runtime_sim import SourceBinding
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
     PARTITIONER_PROPERTY,
@@ -91,15 +92,6 @@ _PING_ROUNDS = 3
 
 class NetworkedRuntimeError(Exception):
     """Raised for deployment or protocol failures in the networked runtime."""
-
-
-@dataclass
-class _SourceBinding:
-    name: str
-    target: str
-    payloads: Iterable[Any]
-    rate: Optional[float]
-    item_size: Union[float, Callable[[Any], float]]
 
 
 @dataclass
@@ -227,7 +219,7 @@ class NetworkedRuntime:
         self.repository = (
             repository if repository is not None else default_repository()
         )
-        self._sources: List[_SourceBinding] = []
+        self._sources: List[SourceBinding] = []
         self._started = False
         #: stage name -> worker name, decided by the matchmaker at run().
         self.placement: Dict[str, str] = {}
@@ -274,7 +266,7 @@ class NetworkedRuntime:
             raise NetworkedRuntimeError(f"unknown stage {target!r}")
         if rate is not None and rate <= 0:
             raise NetworkedRuntimeError(f"rate must be > 0, got {rate}")
-        self._sources.append(_SourceBinding(name, target, payloads, rate, item_size))
+        self._sources.append(SourceBinding(name, target, payloads, rate, item_size))
 
     # -- placement -----------------------------------------------------------
 
@@ -636,15 +628,15 @@ class NetworkedRuntime:
             "boundaries": props.get(BOUNDARIES_PROPERTY),
         }
 
-    def _source_channels(self, binding: _SourceBinding) -> List[Tuple[str, str]]:
+    def _source_channels(self, binding: SourceBinding) -> List[Tuple[str, str]]:
         """The (stream name, target stage) pairs one source binding feeds.
 
         A stage-bound source is one channel; a group-bound source gets
         one channel per replica slot, suffixed like the expanded streams.
         """
-        group = self._groups.get(binding.target)
+        group = self._groups.get(binding.target_stage)
         if group is None:
-            return [(binding.name, binding.target)]
+            return [(binding.name, binding.target_stage)]
         return [
             (f"{binding.name}{SHARD_SEPARATOR}{slot}", member)
             for slot, member in enumerate(group.members)
@@ -1000,7 +992,7 @@ class NetworkedRuntime:
     # -- data plane ------------------------------------------------------------
 
     async def _feed_source(
-        self, binding: _SourceBinding, by_name: Dict[str, _WorkerHandle]
+        self, binding: SourceBinding, by_name: Dict[str, _WorkerHandle]
     ) -> None:
         """Ship one source binding's payloads over credit-bounded channels.
 
@@ -1009,7 +1001,7 @@ class NetworkedRuntime:
         gets the end-of-stream marker (inactive slots simply own no
         keys), so replica-group termination stays per-edge.
         """
-        group = self._groups.get(binding.target)
+        group = self._groups.get(binding.target_stage)
         channels: List[OutChannel] = []
         for stream_name, target in self._source_channels(binding):
             handle = by_name[self.placement[target]]
@@ -1051,19 +1043,15 @@ class NetworkedRuntime:
             ]
         try:
             for payload in binding.payloads:
-                size = (
-                    binding.item_size(payload)
-                    if callable(binding.item_size)
-                    else binding.item_size
-                )
+                size = binding.size_of(payload)
                 index = group.owner(payload) if group is not None else 0
                 channel = channels[index]
                 if buffers is None:
-                    await channel.send(payload, float(size))
+                    await channel.send(payload, size)
                 else:
                     now = time.monotonic()
                     buffer = buffers[index]
-                    if buffer.add((payload, float(size)), now) or buffer.due(now):
+                    if buffer.add((payload, size), now) or buffer.due(now):
                         await channel.send_batch(buffer.drain())
                 if counters:
                     counters[index].inc()

@@ -38,27 +38,12 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.adaptation.controller import ParameterController
-from repro.core.adaptation.load import LoadEstimator
 from repro.core.adaptation.policy import AdaptationPolicy
-from repro.core.adaptation.protocol import (
-    ExceptionCounter,
-    LoadException,
-    LoadExceptionKind,
-)
-from repro.core.api import (
-    AdjustmentParameter,
-    ProcessorError,
-    StageContext,
-    StreamProcessor,
-)
-from repro.core.batching import (
-    BatchBuffer,
-    BatchPolicy,
-    batch_policy_from_properties,
-)
+from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
+from repro.core.api import StreamProcessor
+from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
@@ -66,14 +51,12 @@ from repro.core.sharding import (
     SHARD_ACTIVE_PROPERTY,
     SHARD_COUNT_PROPERTY,
     SHARD_GROUP_PROPERTY,
-    Partitioner,
     extract_key,
-    logical_stream,
     partitioner_from_properties,
 )
-from repro.core.termination import EosTracker, no_input_message
+from repro.core.stagecore import OutEdge, StageCore, owner_select
+from repro.core.termination import no_input_message
 from repro.grid.repository import CodeRepository
-from repro.metrics.rates import RateEstimator
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
 from repro.net.protocol import (
@@ -87,7 +70,8 @@ from repro.net.protocol import (
     read_frame,
     send_frame,
 )
-from repro.obs.registry import BatchMetrics, MetricsRegistry, StageMetrics
+from repro.obs.registry import MetricsRegistry
+from repro.resilience.checkpoint import StageCheckpoint
 from repro.simnet.hosts import CpuCostModel
 
 __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
@@ -125,109 +109,15 @@ def default_repository() -> CodeRepository:
     return repository
 
 
-class _WorkerStageContext(StageContext):
-    """Stage context backed by the worker's wall clock and pending buffer."""
-
-    def __init__(self, stage: "_HostedStage", worker: "Worker") -> None:
-        self._stage = stage
-        self._worker = worker
-        self._in_setup = False
-        self.pending: List[Tuple[Any, float, Optional[str]]] = []
-
-    def specify_parameter(
-        self,
-        name: str,
-        initial: float,
-        minimum: float,
-        maximum: float,
-        increment: float,
-        direction: int,
-    ) -> AdjustmentParameter:
-        if not self._in_setup:
-            raise ProcessorError(
-                f"{self._stage.name}: specify_parameter must be called in setup()"
-            )
-        if name in self._stage.parameters:
-            raise ProcessorError(
-                f"{self._stage.name}: parameter {name!r} declared twice"
-            )
-        param = AdjustmentParameter(
-            name, initial, minimum, maximum, increment, direction
-        )
-        param.set_value(initial, self.now)
-        self._stage.parameters[name] = param
-        self._stage.controllers[name] = ParameterController(
-            param, self._worker.policy
-        )
-        return param
-
-    def get_suggested_value(self, name: str) -> float:
-        try:
-            return self._stage.parameters[name].value
-        except KeyError:
-            raise ProcessorError(
-                f"{self._stage.name}: unknown parameter {name!r}"
-            ) from None
-
-    def emit(
-        self, payload: Any, size: float = 8.0, stream: Optional[str] = None
-    ) -> None:
-        if size < 0:
-            raise ProcessorError(f"emit size must be >= 0, got {size}")
-        if stream is not None and not any(
-            r.stream == stream or logical_stream(r.stream) == stream
-            for r in self._stage.out_routes
-        ):
-            raise ProcessorError(
-                f"{self._stage.name}: emit to unknown stream {stream!r}"
-            )
-        self.pending.append((payload, float(size), stream))
-
-    @property
-    def now(self) -> float:
-        return self._worker.elapsed()
-
-    @property
-    def stage_name(self) -> str:
-        return self._stage.name
-
-    @property
-    def properties(self) -> Dict[str, str]:
-        return self._stage.properties
-
-
-@dataclass
-class _RouteUnit:
-    """One routing decision among a stage's out-routes.
-
-    A *solo* unit (``group is None``) wraps one ordinary route.  A
-    *family* unit wraps the per-replica routes fanning out to one
-    sharded destination group: ``routes[slot]`` is the out-route index
-    reaching replica ``slot``, and exactly one — the key owner's — gets
-    each emitted item.  ``accepts`` names every stream addressing the
-    unit; ``named`` maps a concrete per-replica stream name to its slot
-    so an explicit ``emit(..., stream="t#1")`` overrides the
-    partitioner.
-    """
-
-    accepts: frozenset
-    routes: List[int]
-    group: Optional[str] = None
-    named: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _RouteGroup:
-    """Partitioning facts for one sharded destination group."""
-
-    partitioner: Partitioner
-    shard_by: str
-    active: int
-
-    def owner(self, payload: Any) -> int:
-        return self.partitioner.select(
-            extract_key(payload, self.shard_by), self.active
-        )
+def _shard_owner(shard: Dict[str, Any]) -> Callable[[Any], int]:
+    """Key-owner function from a CHANNEL frame's shard descriptor."""
+    properties = {PARTITIONER_PROPERTY: str(shard.get("partitioner", "hash"))}
+    if shard.get("boundaries") is not None:
+        properties[BOUNDARIES_PROPERTY] = str(shard["boundaries"])
+    partitioner = partitioner_from_properties(properties)
+    shard_by = str(shard.get("by", "payload"))
+    active = int(shard["active"])
+    return lambda payload: partitioner.select(extract_key(payload, shard_by), active)
 
 
 class _LocalRoute:
@@ -245,7 +135,6 @@ class _LocalRoute:
         #: ``shard`` descriptor from the CHANNEL frame (None when the
         #: destination is not a replica); set by ``_register_channel``.
         self.shard: Optional[Dict[str, Any]] = None
-        self.shard_counter: Optional[Any] = None
 
     async def send(self, payload: Any, size: float, origin: str) -> None:
         item = Item(
@@ -253,7 +142,7 @@ class _LocalRoute:
             created_at=self._worker.elapsed(),
         )
         await self.dst.inbox.put((None, item), lane=self.lane)
-        self.dst.rate_estimator.observe(self._worker.elapsed())
+        self.dst.core.arrivals.observe(self._worker.elapsed())
 
     async def send_eos(self, origin: str) -> None:
         await self.dst.inbox.force_put(
@@ -271,7 +160,6 @@ class _WireRoute:
         self.channel = channel
         self.stream = channel.stream
         self.shard: Optional[Dict[str, Any]] = None
-        self.shard_counter: Optional[Any] = None
 
     async def send(self, payload: Any, size: float, origin: str) -> None:
         await self.channel.send(payload, size)
@@ -286,45 +174,21 @@ class _WireRoute:
 @dataclass
 class _HostedStage:
     name: str
-    processor: StreamProcessor
-    properties: Dict[str, str]
     inbox: AsyncInbox
-    eos: EosTracker = field(default_factory=EosTracker)
+    core: StageCore
     out_routes: List[Any] = field(default_factory=list)
-    #: Upstream stages on this worker (exception delivery in-process).
-    upstream_local: List[str] = field(default_factory=list)
     #: Inbound wire channels feeding this stage (exception delivery over
     #: the socket, back to the remote sender).
     upstream_wire: List[InChannel] = field(default_factory=list)
-    parameters: Dict[str, AdjustmentParameter] = field(default_factory=dict)
-    controllers: Dict[str, ParameterController] = field(default_factory=dict)
-    exceptions: ExceptionCounter = field(default_factory=ExceptionCounter)
-    estimator: Optional[LoadEstimator] = None
-    context: Optional[_WorkerStageContext] = None
-    metrics: Optional[StageMetrics] = None
-    rate_estimator: RateEstimator = field(default_factory=RateEstimator)
-    done: Optional[asyncio.Event] = None
+    done: asyncio.Event = field(default_factory=asyncio.Event)
     error: Optional[BaseException] = None
-    #: Effective batch policy (max_delay pre-scaled by time_scale); None
-    #: means one-at-a-time.
-    batch: Optional[BatchPolicy] = None
-    #: Per-out-route accumulating batches, keyed by index into
-    #: ``out_routes``.  Only wire routes get one — local routes hand
-    #: items over in-process, where per-item cost is already one append.
-    batch_buffers: Dict[int, "BatchBuffer[Tuple[Any, float]]"] = field(
-        default_factory=dict
-    )
-    batch_metrics: Optional[BatchMetrics] = None
-    #: Routing decisions over ``out_routes`` (solo routes and sharded
-    #: families); built at START once every channel is declared.
-    route_units: List[_RouteUnit] = field(default_factory=list)
     #: True once this stage's live copy moved to another worker: its
     #: task exited at the migration fence, its final value lives on the
     #: adopting worker, and EOF on its old channels is expected.
     migrated_away: bool = False
     #: Set by the stage task when it exits at a migration fence (the
     #: export handler awaits it before snapshotting).
-    fence_passed: Optional[asyncio.Event] = None
+    fence_passed: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class _MigrateFence:
@@ -366,9 +230,6 @@ class Worker:
         self.credit_window = 32
         self.batch: Optional[BatchPolicy] = None
         self._stages: Dict[str, _HostedStage] = {}
-        #: Partitioning facts per sharded destination group, built at
-        #: START from the CHANNEL frames' shard descriptors.
-        self._route_groups: Dict[str, _RouteGroup] = {}
         self._in_channels: Dict[str, InChannel] = {}
         self._out_channels: List[OutChannel] = []
         self._tasks: List[asyncio.Task] = []
@@ -455,7 +316,7 @@ class Worker:
                     writer, FrameType.ERROR,
                     encode_json({"error": f"unexpected first frame {first.type.name}"}),
                 )
-        except (ProtocolError, ConnectionError) as exc:
+        except (ProtocolError, ConnectionError, WorkerError) as exc:
             try:
                 await send_frame(
                     writer, FrameType.ERROR, encode_json({"error": str(exc)})
@@ -538,29 +399,15 @@ class Worker:
         lanes = int(properties.get("net-inbox-lanes", self.inbox_lanes))
         if lanes < 1:
             raise WorkerError(f"{name}: net-inbox-lanes must be >= 1, got {lanes}")
-        try:
-            effective = batch_policy_from_properties(properties, self.batch)
-        except ValueError as exc:
-            raise WorkerError(f"{name}: {exc}") from None
-        stage = _HostedStage(
-            name=name,
-            processor=processor,
-            properties=properties,
-            inbox=AsyncInbox(capacity, self.policy.window, lanes=lanes),
+        inbox = AsyncInbox(capacity, self.policy.window, lanes=lanes)
+        core = StageCore(
+            name, properties, inbox, self.policy, self.metrics, clock=self.elapsed,
+            error=WorkerError, batch=self.batch, time_scale=self.time_scale,
         )
-        if effective is not None and effective.enabled:
-            # Pre-scale the age bound once so flush deadlines compare
-            # directly against elapsed() wall seconds.
-            stage.batch = BatchPolicy(
-                max_items=effective.max_items,
-                max_delay=effective.max_delay * self.time_scale,
-            )
-        stage.metrics = StageMetrics(self.metrics, name)
-        stage.estimator = LoadEstimator(name, stage.inbox, self.policy)
-        self.metrics.series(f"adapt.{name}.d_tilde", stage.estimator.history)
-        stage.context = _WorkerStageContext(stage, self)
-        stage.done = asyncio.Event()
-        self._stages[name] = stage
+        # The processor is set up at START (or adoption), once every
+        # channel is declared.
+        core.processor = processor
+        self._stages[name] = _HostedStage(name=name, inbox=inbox, core=core)
 
     def _register_channel(self, body: Dict[str, Any]) -> None:
         kind = body["kind"]
@@ -572,19 +419,19 @@ class Worker:
             # One inbox lane per input edge: this edge's items (and its
             # EOS) stay FIFO in their own lane while other producers
             # append to theirs without contending.
-            lane = len(dst.upstream_local) + len(dst.upstream_wire)
+            lane = len(dst.core.upstream) + len(dst.upstream_wire)
             route = _LocalRoute(stream, dst, self, lane=lane)
-            self._annotate_shard(route, shard, body["dst"])
+            route.shard = shard
             src.out_routes.append(route)
-            dst.eos.expect()
-            dst.upstream_local.append(src.name)
+            dst.core.eos.expect()
+            dst.core.upstream.append(src.core)
         elif kind == "in":
             dst = self._require_stage(body["dst"], stream)
             window = int(body.get("window", self.credit_window))
-            lane = len(dst.upstream_local) + len(dst.upstream_wire)
+            lane = len(dst.core.upstream) + len(dst.upstream_wire)
             channel = InChannel(stream, dst.name, window, lane=lane)
             self._in_channels[stream] = channel
-            dst.eos.expect()
+            dst.core.eos.expect()
             dst.upstream_wire.append(channel)
         elif kind == "out":
             src = self._require_stage(body["src"], stream)
@@ -600,19 +447,10 @@ class Worker:
             )
             self._out_channels.append(channel)
             route = _WireRoute(channel)
-            self._annotate_shard(route, shard, body["dst"])
+            route.shard = shard
             src.out_routes.append(route)
         else:
             raise WorkerError(f"unknown channel kind {kind!r} for {stream!r}")
-
-    def _annotate_shard(
-        self, route: Any, shard: Optional[Dict[str, Any]], dst_name: str
-    ) -> None:
-        """Attach a CHANNEL frame's shard descriptor to an out-route."""
-        if shard is None:
-            return
-        route.shard = shard
-        route.shard_counter = self.metrics.counter(f"shard.{dst_name}.items")
 
     def _require_stage(self, name: str, stream: str) -> _HostedStage:
         try:
@@ -635,9 +473,7 @@ class Worker:
                 )
             except (KeyError, ValueError):
                 return
-            stage.exceptions.report(exception)
-            assert stage.metrics is not None
-            stage.metrics.exceptions_received.inc()
+            stage.core.receive(exception)
 
         return _handle
 
@@ -645,7 +481,7 @@ class Worker:
         if self._started:
             raise WorkerError("START received twice")
         for stage in self._stages.values():
-            if not stage.eos.has_inputs:
+            if not stage.core.eos.has_inputs:
                 raise WorkerError(no_input_message(stage.name))
         self._started = True
         self._start_time = time.monotonic()
@@ -656,185 +492,82 @@ class Worker:
         # ``ctx.det`` first.
         import repro.ledger.context  # noqa: F401
         for stage in self._stages.values():
-            assert stage.context is not None
-            stage.context._in_setup = True
-            stage.processor.setup(stage.context)
-            stage.context._in_setup = False
-            for pname, param in stage.parameters.items():
-                self.metrics.series(
-                    f"adapt.{stage.name}.param.{pname}", param.history
-                )
-        for stage in self._stages.values():
-            self._build_route_units(stage)
-            group = stage.properties.get(SHARD_GROUP_PROPERTY)
-            if group is not None:
-                active = stage.properties.get(
-                    SHARD_ACTIVE_PROPERTY,
-                    stage.properties.get(SHARD_COUNT_PROPERTY, "1"),
-                )
-                self.metrics.gauge(f"shard.{group}.replicas").set(float(active))
-        # Batch buffers exist only for wire routes: a local handoff is
-        # already a single in-process append, while a wire route pays a
-        # frame + syscall per send, which batching amortizes.
-        for stage in self._stages.values():
-            if stage.batch is None:
-                continue
-            for index, route in enumerate(stage.out_routes):
-                if isinstance(route, _WireRoute):
-                    stage.batch_buffers[index] = BatchBuffer(stage.batch)
-            if stage.batch_buffers:
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
+            self._wire_stage(stage)
+            stage.core.setup(stage.core.processor)
         # Dial every outbound channel; the receiving workers are already
         # synced (the coordinator barriers SYNC/READY before any START),
         # so their InChannels exist and grant credit on ATTACH.
         await asyncio.gather(*(c.connect() for c in self._out_channels))
         for stage in self._stages.values():
-            self._tasks.append(asyncio.create_task(self._stage_task(stage)))
-            if self.adaptation_enabled:
-                self._tasks.append(asyncio.create_task(self._monitor_task(stage)))
+            self._spawn(stage)
         self._tasks.append(
             asyncio.create_task(self._completion_task(coordinator_writer))
         )
 
-    def _build_route_units(self, stage: _HostedStage) -> None:
-        """Group a stage's out-routes into routing units.
+    def _spawn(self, stage: _HostedStage) -> None:
+        self._tasks.append(asyncio.create_task(self._stage_task(stage)))
+        if self.adaptation_enabled:
+            self._tasks.append(asyncio.create_task(self._monitor_task(stage)))
 
-        Routes fanning out to the replicas of one sharded destination
-        group (same declared stream name, same group) collapse into one
-        partitioned family unit — local and wire routes mix freely, the
-        replicas may live anywhere in the fleet.  A partial family
-        (possible only if the coordinator shipped an incomplete slot
-        set) falls back to solo units.
+    def _wire_stage(self, stage: _HostedStage) -> None:
+        """Hand a stage's out-routes to its core.
+
+        Routes fanning out to one sharded destination group (local and
+        wire routes mix freely; the replicas may live anywhere in the
+        fleet) form a partitioned family from the CHANNEL frames' shard
+        descriptors.  Batch buffers exist only for wire routes: a local
+        handoff is already a single in-process append, while a wire
+        route pays a frame + syscall per send, which batching amortizes.
         """
-        families: Dict[Tuple[str, str], Dict[int, int]] = {}
-        descriptors: Dict[str, Dict[str, Any]] = {}
-        order: List[Tuple[Optional[Tuple[str, str]], int]] = []
-        for index, route in enumerate(stage.out_routes):
+        edges: List[OutEdge] = []
+        families: Dict[str, Tuple[int, Any]] = {}
+        for route in stage.out_routes:
+            wire = isinstance(route, _WireRoute)
+            dst = route.channel.dst_stage if wire else route.dst.name
             shard = route.shard
             if shard is None:
-                order.append((None, index))
+                edges.append(OutEdge(route.stream, dst, buffered=wire))
                 continue
-            key = (logical_stream(route.stream), str(shard["group"]))
-            if key not in families:
-                order.append((key, index))
-                families[key] = {}
-            families[key][int(shard["slot"])] = index
-            descriptors[str(shard["group"])] = shard
-        units: List[_RouteUnit] = []
-        for key, index in order:
-            if key is None:
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset({stage.out_routes[index].stream}),
-                        routes=[index],
-                    )
-                )
-                continue
-            logical, group = key
-            mapping = families[key]
-            shard = descriptors[group]
-            slots = int(shard["slots"])
-            if set(mapping) == set(range(slots)):
-                routes = [mapping[slot] for slot in range(slots)]
-                names = {stage.out_routes[i].stream for i in routes}
-                units.append(
-                    _RouteUnit(
-                        accepts=frozenset(names | {logical}),
-                        routes=routes,
-                        group=group,
-                        named={
-                            stage.out_routes[i].stream: slot
-                            for slot, i in enumerate(routes)
-                        },
-                    )
-                )
-                if group not in self._route_groups:
-                    properties = {PARTITIONER_PROPERTY: str(
-                        shard.get("partitioner", "hash")
-                    )}
-                    if shard.get("boundaries") is not None:
-                        properties[BOUNDARIES_PROPERTY] = str(shard["boundaries"])
-                    self._route_groups[group] = _RouteGroup(
-                        partitioner=partitioner_from_properties(properties),
-                        shard_by=str(shard.get("by", "payload")),
-                        active=int(shard["active"]),
-                    )
-            else:
-                for route_index in sorted(mapping.values()):
-                    name = stage.out_routes[route_index].stream
-                    units.append(
-                        _RouteUnit(
-                            accepts=frozenset({name, logical}),
-                            routes=[route_index],
-                        )
-                    )
-        stage.route_units = units
-
-    def _route_indices(
-        self, stage: _HostedStage, payload: Any, stream: Optional[str]
-    ):
-        """Out-route indices one emission goes to.
-
-        Solo units keep the pre-sharding fan-out; a family unit
-        contributes exactly one route — the key owner's, or the
-        explicitly addressed replica's.
-        """
-        for unit in stage.route_units:
-            if stream is not None and stream not in unit.accepts:
-                continue
-            if unit.group is None:
-                yield unit.routes[0]
-                continue
-            if stream is not None and stream in unit.named:
-                slot = unit.named[stream]
-            else:
-                slot = self._route_groups[unit.group].owner(payload)
-            index = unit.routes[slot]
-            counter = stage.out_routes[index].shard_counter
-            if counter is not None:
-                counter.inc()
-            yield index
+            group = str(shard["group"])
+            edges.append(OutEdge(route.stream, dst, group, int(shard["slot"]), wire))
+            if group not in families:
+                families[group] = (int(shard["slots"]), owner_select(_shard_owner(shard)))
+        stage.core.wire(edges, families)
+        properties = stage.core.properties
+        group = properties.get(SHARD_GROUP_PROPERTY)
+        if group is not None:
+            active = properties.get(SHARD_ACTIVE_PROPERTY, properties.get(SHARD_COUNT_PROPERTY, "1"))
+            self.metrics.gauge(f"shard.{group}.replicas").set(float(active))
 
     # -- stage execution -----------------------------------------------------
 
     async def _stage_task(self, stage: _HostedStage) -> None:
-        ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
+        core = stage.core
+        metrics = core.metrics
+        routes = stage.out_routes
         sleep_debt = 0.0
         # With batching on, the inbox is drained in chunks — one event-loop
         # suspension and one aggregated metrics update per chunk instead of
         # per item — and the per-item cost computation is skipped entirely
         # for provably-free cost models.
-        chunked = stage.batch is not None
-        cost_model = stage.processor.cost_model
+        batch = core.batch
+        cost_model = core.processor.cost_model
         free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
         local: Deque[Tuple[Any, Any]] = deque()
         try:
             while True:
                 if not local:
-                    timeout = self._next_flush_timeout(stage)
+                    timeout = core.flush_timeout()
                     try:
-                        if chunked:
-                            assert stage.batch is not None
+                        if batch is not None:
                             if timeout is None:
-                                drained = await stage.inbox.get_many(
-                                    stage.batch.max_items
-                                )
+                                drained = await stage.inbox.get_many(batch.max_items)
                             else:
                                 drained = await asyncio.wait_for(
-                                    stage.inbox.get_many(stage.batch.max_items),
-                                    timeout,
+                                    stage.inbox.get_many(batch.max_items), timeout
                                 )
                             local.extend(drained)
-                            count, nbytes_in = 0, 0.0
-                            for _, msg in drained:
-                                if not isinstance(msg, EndOfStream):
-                                    count += 1
-                                    nbytes_in += msg.size
-                            if count:
-                                stage.metrics.items_in.inc(count)
-                                stage.metrics.bytes_in.inc(nbytes_in)
+                            core.arrived(msg for _, msg in drained)
                         elif timeout is None:
                             local.append(await stage.inbox.get())
                         else:
@@ -842,7 +575,8 @@ class Worker:
                                 await asyncio.wait_for(stage.inbox.get(), timeout)
                             )
                     except asyncio.TimeoutError:
-                        await self._flush_due(stage)
+                        for index in core.due():
+                            await self._flush_route(stage, index, age=True)
                         continue
                 channel, message = local.popleft()
                 if isinstance(message, _MigrateFence):
@@ -851,51 +585,46 @@ class Worker:
                     # tear down out-routes with the plain FIN/drain close
                     # (no EOS — the stream continues on the new worker),
                     # and exit so the export handler can snapshot.
-                    await self._transmit_pending(stage)
-                    for index in list(stage.batch_buffers):
-                        await self._flush_route(stage, index)
-                    for route in stage.out_routes:
+                    await self._flush_all(stage)
+                    for route in routes:
                         await route.close()
                     stage.migrated_away = True
-                    assert stage.fence_passed is not None
                     stage.fence_passed.set()
                     return
                 if isinstance(message, EndOfStream):
-                    if not stage.eos.observe():
+                    if not core.eos.observe():
                         continue
-                    stage.processor.flush(ctx)
-                    ctx.det.finalize_stage(stage.processor)
-                    await self._transmit_pending(stage)
-                    for index in list(stage.batch_buffers):
-                        await self._flush_route(stage, index)
-                    for route in stage.out_routes:
+                    core.processor.flush(core)
+                    core.det.finalize_stage(core.processor)
+                    await self._flush_all(stage)
+                    for route in routes:
                         await route.send_eos(stage.name)
                     return
-                if not chunked:
-                    stage.metrics.items_in.inc()
-                    stage.metrics.bytes_in.inc(message.size)
+                if batch is None:
+                    metrics.items_in.inc()
+                    metrics.bytes_in.inc(message.size)
                 if not free:
-                    items, nbytes = stage.processor.work_amount(
+                    items, nbytes = core.processor.work_amount(
                         message.payload, message.size
                     )
                     cost = cost_model.cost(items, nbytes)
                     if cost > 0:
                         scaled = cost * self.time_scale
-                        stage.metrics.busy_seconds.inc(scaled)
+                        metrics.busy_seconds.inc(scaled)
                         sleep_debt += scaled
                         if sleep_debt >= _SLEEP_DEBT_THRESHOLD:
                             await asyncio.sleep(sleep_debt)
                             sleep_debt = 0.0
-                stage.processor.on_item(message.payload, ctx)
+                core.processor.on_item(message.payload, core)
                 now = self.elapsed()
-                stage.metrics.latency.observe(now - message.created_at)
-                if ctx.pending:
-                    full = self._buffer_pending(stage, now)
-                    if full is None:
-                        await self._transmit_pending(stage)
-                    else:
-                        for index in full:
-                            await self._flush_route(stage, index)
+                metrics.latency.observe(now - message.created_at)
+                if core.pending:
+                    # Inline rather than a coroutine call: with every
+                    # route buffered, the drain finishes synchronously.
+                    for index, payload, size in core.drain(now):
+                        await routes[index].send(payload, size, stage.name)
+                    for index in core.take_full():
+                        await self._flush_route(stage, index)
                 if channel is not None and channel.note_consumed():
                     if channel.needs_drain():
                         # Credit backchannel piled up past the high
@@ -908,153 +637,59 @@ class Worker:
             stage.error = exc
             # Release downstream stages (they will never hear from us
             # again); best effort — peers may already be gone.
-            for route in stage.out_routes:
+            for route in routes:
                 try:
                     await route.send_eos(stage.name)
                 except (ChannelError, ConnectionError, ProtocolError):
                     pass
         finally:
-            assert stage.done is not None
             stage.done.set()
 
-    def _buffer_pending(
-        self, stage: _HostedStage, now: float
-    ) -> Optional[List[int]]:
-        """Synchronous fast path for the per-item hot loop: move every
-        pending emission into its route's batch buffer and return the
-        indices that filled (usually none — the caller then skips the
-        coroutine round-trip entirely).  Returns None without consuming
-        anything when some route has no buffer, so the caller falls back
-        to the general :meth:`_transmit_pending` path."""
-        ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
-        buffers = stage.batch_buffers
-        if len(buffers) != len(stage.out_routes):
-            return None
-        pending, ctx.pending = ctx.pending, []
-        full: List[int] = []
-        nbytes_out = 0.0
-        for payload, size, stream in pending:
-            nbytes_out += size
-            for index in self._route_indices(stage, payload, stream):
-                if buffers[index].add((payload, size), now) and index not in full:
-                    full.append(index)
-        stage.metrics.items_out.inc(len(pending))
-        stage.metrics.bytes_out.inc(nbytes_out)
-        return full
-
-    async def _transmit_pending(self, stage: _HostedStage) -> None:
-        ctx = stage.context
-        assert ctx is not None
-        assert stage.metrics is not None
-        if not ctx.pending:
-            return
-        now = self.elapsed()
-        full = self._buffer_pending(stage, now)
-        if full is not None:
-            for index in full:
-                await self._flush_route(stage, index)
-            return
-        # Mixed or unbatched routes: buffered where a buffer exists,
-        # shipped immediately where none does (local routes, batch off).
-        pending, ctx.pending = ctx.pending, []
-        mixed_full: List[int] = []
-        nbytes_out = 0.0
-        for payload, size, stream in pending:
-            nbytes_out += size
-            for index in self._route_indices(stage, payload, stream):
-                buffer = stage.batch_buffers.get(index)
-                if buffer is None:
-                    await stage.out_routes[index].send(payload, size, stage.name)
-                elif buffer.add((payload, size), now) and index not in mixed_full:
-                    mixed_full.append(index)
-        stage.metrics.items_out.inc(len(pending))
-        stage.metrics.bytes_out.inc(nbytes_out)
-        for index in mixed_full:
+    async def _flush_all(self, stage: _HostedStage) -> None:
+        """Ship every pending emission and every partial batch."""
+        core = stage.core
+        for index, payload, size in core.drain(self.elapsed()):
+            await stage.out_routes[index].send(payload, size, stage.name)
+        core.take_full()  # every buffer ships below, full or not
+        for index in range(len(stage.out_routes)):
             await self._flush_route(stage, index)
-
-    def _next_flush_timeout(self, stage: _HostedStage) -> Optional[float]:
-        """Seconds until the oldest buffered batch must age-flush."""
-        deadlines = [
-            buffer.deadline()
-            for buffer in stage.batch_buffers.values()
-            if buffer.entries
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, min(d for d in deadlines if d is not None) - self.elapsed())
-
-    async def _flush_due(self, stage: _HostedStage) -> None:
-        now = self.elapsed()
-        for index, buffer in stage.batch_buffers.items():
-            if buffer.due(now):
-                await self._flush_route(stage, index, age=True)
 
     async def _flush_route(
         self, stage: _HostedStage, index: int, age: bool = False
     ) -> None:
         """Ship one route's accumulated batch as (at most a few) DATA frames."""
-        entries = stage.batch_buffers[index].drain()
-        if not entries:
-            return
-        if stage.batch_metrics is not None:
-            stage.batch_metrics.batches.inc()
-            stage.batch_metrics.items.inc(len(entries))
-            stage.batch_metrics.flush_size.observe(float(len(entries)))
-            if age:
-                stage.batch_metrics.age_flushes.inc()
-        route = stage.out_routes[index]
-        await route.channel.send_batch(entries)
+        entries = stage.core.take_batch(index, age)
+        if entries:
+            await stage.out_routes[index].channel.send_batch([e[:2] for e in entries])
 
     async def _monitor_task(self, stage: _HostedStage) -> None:
-        """The Section 4 adaptation loop, run locally per stage."""
-        assert stage.estimator is not None
-        assert stage.metrics is not None
-        assert stage.done is not None
-        samples = 0
+        """The Section 4 adaptation loop, run locally per stage.
+
+        In-process upstream stages hear of a load exception from the
+        core directly; remote ones get an EXCEPTION frame against the
+        data direction of their channel.
+        """
         interval = self.policy.sample_interval * self.time_scale
         while not stage.done.is_set():
             await asyncio.sleep(interval)
             if stage.done.is_set():
                 return
-            now = self.elapsed()
-            stage.metrics.queue_len.record(
-                now, float(stage.inbox.current_length)
-            )
-            exception = stage.estimator.sample(now)
-            if exception is not None and self.policy.exceptions_enabled:
-                stage.metrics.exceptions_reported.inc()
-                self._report_upstream(stage, exception)
-                for wire in stage.upstream_wire:
-                    if wire.needs_drain():
-                        await wire.drain()
-            samples += 1
-            if samples % self.policy.adjust_every == 0 and stage.controllers:
-                t1, t2 = stage.exceptions.drain()
-                score = stage.estimator.normalized_score
-                for controller in stage.controllers.values():
-                    controller.adjust(score, t1, t2, now)
-
-    def _report_upstream(
-        self, stage: _HostedStage, exception: LoadException
-    ) -> None:
-        """Deliver a load exception to every upstream: local or over the wire."""
-        for src_name in stage.upstream_local:
-            upstream = self._stages[src_name]
-            upstream.exceptions.report(exception)
-            assert upstream.metrics is not None
-            upstream.metrics.exceptions_received.inc()
-        for channel in stage.upstream_wire:
-            channel.send_exception(
-                {
-                    "stream": channel.stream,
-                    "kind": exception.kind.value,
-                    "reporter": exception.reporter,
-                    "time": exception.time,
-                    "score": exception.score,
-                }
-            )
+            exception, _ = stage.core.tick(self.elapsed())
+            if exception is None:
+                continue
+            for channel in stage.upstream_wire:
+                channel.send_exception(
+                    {
+                        "stream": channel.stream,
+                        "kind": exception.kind.value,
+                        "reporter": exception.reporter,
+                        "time": exception.time,
+                        "score": exception.score,
+                    }
+                )
+            for wire in stage.upstream_wire:
+                if wire.needs_drain():
+                    await wire.drain()
 
     async def _completion_task(self, writer) -> None:
         """Send RESULT (or ERROR) once every local stage has drained."""
@@ -1064,7 +699,6 @@ class Worker:
             # is stable and fully drained.
             stages = list(self._stages.values())
             for stage in stages:
-                assert stage.done is not None
                 await stage.done.wait()
             if any(
                 s.error is not None and not s.migrated_away
@@ -1080,8 +714,7 @@ class Worker:
             assert self._release is not None
             await self._release.wait()
             if len(self._stages) == len(stages) and all(
-                s.done is not None and s.done.is_set()
-                for s in self._stages.values()
+                s.done.is_set() for s in self._stages.values()
             ):
                 break
         failed = [
@@ -1105,11 +738,7 @@ class Worker:
                     # The live copy (and its final value) moved to
                     # another worker; ours is a stale snapshot.
                     continue
-                assert stage.metrics is not None
-                stage.metrics.arrival_rate.set(
-                    stage.rate_estimator.decayed_rate(self.elapsed())
-                )
-                finals[stage.name] = stage.processor.result()
+                finals[stage.name] = stage.core.stats(self.elapsed(), self.name).final_value
             for channel in self._out_channels:
                 await channel.close()
             await send_frame(
@@ -1189,7 +818,6 @@ class Worker:
         """
         stage = self._stages[body["stage"]]
         expected = {str(k): int(v) for k, v in body["expected"].items()}
-        assert stage.done is not None
         while not all(
             self._recv_counts.get(s, 0) >= n for s, n in expected.items()
         ):
@@ -1197,7 +825,6 @@ class Worker:
                 break
             await asyncio.sleep(0.001)
         if not stage.done.is_set():
-            stage.fence_passed = asyncio.Event()
             # A barrier, not an ordinary entry: with a sharded inbox the
             # fence must sort after every lane's items, and the lanes
             # are quiescent (upstreams paused), so barrier delivery ==
@@ -1220,16 +847,14 @@ class Worker:
                 encode_json({"phase": "finished", "stage": stage.name}),
             )
             return
+        checkpoint = stage.core.checkpoint(stage.core.processor.snapshot())
         await send_frame(
             writer, FrameType.HANDOFF,
             encode_json({
                 "stage": stage.name,
-                "state": stage.processor.snapshot(),
-                "parameters": {
-                    name: param.value
-                    for name, param in stage.parameters.items()
-                },
-                "eos_seen": stage.eos.snapshot(),
+                "state": checkpoint.processor_state,
+                "parameters": checkpoint.parameters,
+                "eos_seen": checkpoint.eos_seen,
             }),
         )
 
@@ -1264,38 +889,19 @@ class Worker:
                 "shard": spec.get("shard"),
             })
         new_channels = self._out_channels[out_before:]
-        assert stage.context is not None
-        stage.context._in_setup = True
-        stage.processor.setup(stage.context)
-        stage.context._in_setup = False
-        if stage.context.pending:
-            raise WorkerError(
-                f"{stage.name}: processor emitted during setup()"
-            )
-        for pname, param in stage.parameters.items():
-            self.metrics.series(
-                f"adapt.{stage.name}.param.{pname}", param.history
-            )
-        now = self.elapsed()
-        for pname, value in body.get("parameters", {}).items():
-            if pname in stage.parameters:
-                stage.parameters[pname].set_value(float(value), now)
-        if body.get("state") is not None:
-            stage.processor.restore(body["state"])
-        stage.eos.restore(int(body.get("eos_seen", 0)))
-        if stage.batch is not None:
-            for index, route in enumerate(stage.out_routes):
-                if isinstance(route, _WireRoute):
-                    stage.batch_buffers[index] = BatchBuffer(stage.batch)
-            if stage.batch_buffers:
-                stage.batch_metrics = BatchMetrics(self.metrics, stage.name)
-        self._build_route_units(stage)
+        self._wire_stage(stage)
+        stage.core.setup(
+            stage.core.processor,
+            StageCheckpoint(
+                stage=stage.name,
+                time=self.elapsed(),
+                processor_state=body.get("state"),
+                parameters=body.get("parameters", {}),
+                eos_seen=int(body.get("eos_seen", 0)),
+            ),
+        )
         await asyncio.gather(*(c.connect() for c in new_channels))
-        self._tasks.append(asyncio.create_task(self._stage_task(stage)))
-        if self.adaptation_enabled:
-            self._tasks.append(
-                asyncio.create_task(self._monitor_task(stage))
-            )
+        self._spawn(stage)
         await send_frame(
             writer, FrameType.MIGRATE, encode_json({"phase": "adopted"})
         )
@@ -1338,7 +944,7 @@ class Worker:
                         ],
                         lane=lane,
                     )
-                    stage.rate_estimator.observe(
+                    stage.core.arrivals.observe(
                         self.elapsed(), count=float(len(decoded))
                     )
                     self._recv_counts[stream] = (
@@ -1372,8 +978,7 @@ class Worker:
                 stage.error = WorkerError(
                     f"data channel {stream!r} closed before EOS"
                 )
-            if stage.done is not None:
-                stage.done.set()
+            stage.done.set()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -271,10 +271,10 @@ class MetricsRegistry:
 class StageMetrics:
     """Pre-resolved metric handles for one stage's hot path.
 
-    Both runtimes construct one per stage at build time, so the per-item
+    The stage core constructs one per stage at build time, so the per-item
     code increments bound :class:`Counter` objects instead of re-resolving
-    dotted names — and, because the names come from one place, the
-    simulated and threaded runtimes are guaranteed to register identical
+    dotted names — and, because the names come from one place, all three
+    runtimes are guaranteed to register identical
     ``stage.*`` / ``adapt.*`` families (the registry-parity contract).
     """
 
@@ -296,9 +296,9 @@ class StageMetrics:
 class BatchMetrics:
     """Pre-resolved handles for one stage's micro-batching accounting.
 
-    Constructed only when a stage runs with an enabled
-    :class:`~repro.core.batching.BatchPolicy`, by whichever runtime hosts
-    it — the ``batch.*`` family is identical across all three runtimes.
+    Constructed by the stage core only when a stage has a batch-buffered
+    out-edge under an enabled :class:`~repro.core.batching.BatchPolicy` —
+    the ``batch.*`` family is identical across all three runtimes.
     """
 
     def __init__(self, registry: MetricsRegistry, stage_name: str) -> None:

@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.api import ProcessorError, StreamProcessor
 from repro.core.runtime_sim import RuntimeError_, SimulatedRuntime, SourceBinding
+from repro.core.runtime_threads import ThreadedRuntime, ThreadedRuntimeError
 from repro.grid.config import AppConfig, StageConfig, StreamConfig
 from repro.grid.deployer import Deployer
 from repro.grid.registry import ServiceRegistry
 from repro.grid.repository import CodeRepository
 from repro.grid.resources import ResourceRequirement
+from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
 from repro.simnet.engine import Environment
 from repro.simnet.hosts import CpuCostModel
 from repro.simnet.topology import Network
@@ -94,6 +96,29 @@ class TestSetupErrors:
         runtime.bind_source(SourceBinding("s", "bad", [1]))
         with pytest.raises(RuntimeError_, match="emitted during setup"):
             runtime.run()
+
+        # The threaded and networked runtimes share the same setup
+        # sequence: the premature emission is refused, never delivered.
+        threaded = ThreadedRuntime()
+        threaded.add_stage("bad", EmitsInSetup())
+        threaded.add_stage("sink", Sink())
+        threaded.connect("bad", "sink")
+        threaded.bind_source("s", "bad", [1])
+        with pytest.raises(ThreadedRuntimeError, match="emitted during setup"):
+            threaded.run(timeout=10.0)
+
+        config = AppConfig(
+            name="setup-emit",
+            stages=[
+                StageConfig("bad", f"py://{__name__}:EmitsInSetup"),
+                StageConfig("sink", f"py://{__name__}:Sink"),
+            ],
+            streams=[StreamConfig("t", "bad", "sink")],
+        )
+        networked = NetworkedRuntime(config, workers=1)
+        networked.bind_source("s", "bad", [1])
+        with pytest.raises(NetworkedRuntimeError, match="emitted during setup"):
+            networked.run(timeout=30.0)
 
     def test_specify_parameter_outside_setup_rejected(self):
         env, net, runtime = build(

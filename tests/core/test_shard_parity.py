@@ -14,6 +14,7 @@ via ``py://`` code URLs so the networked runtime's worker processes can
 import them too.
 """
 
+import sys
 from typing import Any, Dict, Iterator, List
 
 import pytest
@@ -30,7 +31,7 @@ from repro.net.coordinator import NetworkedRuntime
 from repro.simnet.engine import Environment
 from repro.simnet.topology import Network
 
-from tests.shard_stages import KeyedRelay, KeyOrderSink
+from tests.shard_stages import KeyedRelay, KeyOrderSink, NamedRelay
 
 KEYS = [f"k{i}" for i in range(7)]
 
@@ -68,7 +69,7 @@ def _shard_item_total(metrics: Any) -> float:
 # -- simulated runtime -------------------------------------------------------
 
 
-def _run_sim(replicas: int):
+def _run_sim(replicas: int, relay: type = KeyedRelay):
     env = Environment()
     net = Network(env)
     hosts = [f"h{i}" for i in range(5)]
@@ -81,7 +82,7 @@ def _run_sim(replicas: int):
     registry = ServiceRegistry()
     registry.register_network(net)
     repo = CodeRepository()
-    repo.publish("repo://t/relay", KeyedRelay)
+    repo.publish("repo://t/relay", relay)
     repo.publish("repo://t/sink", KeyOrderSink)
     config = AppConfig(
         name="shard-parity-sim",
@@ -162,6 +163,35 @@ def test_networked_per_key_parity(replicas):
         assert result.metrics.value("shard.relay.replicas") == float(replicas)
 
 
+# -- emitting to the declared stream name -----------------------------------
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("runtime", ["sim", "threaded", "net"])
+def test_emit_to_declared_stream_name(runtime, replicas):
+    """A replica emitting to ``stream="t"`` reaches the sink on every runtime.
+
+    Expansion renames each replica's outbound stream to ``t#i``; the
+    processor was written against the declared name and must not lose
+    its output once the stage is sharded.
+    """
+    if runtime == "sim":
+        result, _ = _run_sim(replicas, relay=NamedRelay)
+    else:
+        config = _threaded_config(
+            f"named-stream-{runtime}", _shard_props(replicas),
+            relay="py://tests.shard_stages:NamedRelay",
+        )
+        if runtime == "threaded":
+            rt: Any = ThreadedRuntime.from_config(config, adaptation_enabled=False)
+            rt.bind_source("s", "relay", list(PAYLOADS))
+        else:
+            rt = NetworkedRuntime(config, workers=3, adaptation_enabled=False)
+            rt.bind_source("s", "relay", list(PAYLOADS), rate=2000.0)
+        result = rt.run(timeout=60.0)
+    assert result.final_value("sink") == EXPECTED
+
+
 # -- elastic autoscaling soak (threaded) -------------------------------------
 
 
@@ -227,3 +257,56 @@ def test_threaded_parity_under_rebalance():
         "scale.relay.rebalance_seconds"
     ).count
     assert rebalances >= 2
+
+
+def test_threaded_parity_under_rebalance_with_concurrent_producers():
+    """Two replica threads route into an elastic group while it rebalances.
+
+    Each producer picks an owner and reserves the delivery under the
+    group's routing lock, then hands the item over after releasing it.
+    A rebalance must still see every reserved item drained before keyed
+    state moves, or per-key order and the running counts would break.
+    A short switch interval makes the producers interleave finely.
+    """
+    payloads = _payloads(500)
+    elastic = {
+        "replicas": "1",
+        "shard-by": "field:k",
+        "scale-max-replicas": "3",
+        "scale-up-occupancy": "0.5",
+        "scale-down-occupancy": "0.05",
+        "scale-breach-samples": "2",
+        "scale-idle-samples": "3",
+        "scale-cooldown-samples": "1",
+    }
+    config = AppConfig(
+        name="shard-soak-mesh",
+        stages=[
+            StageConfig("up", "py://tests.shard_stages:KeyedRelay",
+                        properties=_shard_props(2)),
+            StageConfig("relay", "py://tests.shard_stages:SlowKeyedRelay",
+                        properties=elastic),
+            StageConfig("sink", "py://tests.shard_stages:KeyOrderSink"),
+        ],
+        streams=[
+            StreamConfig("u", "up", "relay"),
+            StreamConfig("t", "relay", "sink"),
+        ],
+    )
+    runtime = ThreadedRuntime.from_config(
+        config,
+        adaptation_enabled=False,
+        policy=AdaptationPolicy(sample_interval=0.05),
+    )
+    runtime.bind_source(
+        "s", "up", list(payloads),
+        arrivals=_TwoPhaseArrivals(burst=360, burst_gap=0.0005, idle_gap=0.012),
+    )
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = runtime.run(timeout=120.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert result.final_value("sink") == _expected(payloads)
+    assert result.metrics.histogram("scale.relay.rebalance_seconds").count >= 1

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.apps.count_samps import build_distributed_config
+from repro.core.batching import BatchPolicy
 from repro.grid.config import ResourceRequirement
 from repro.net.coordinator import NetworkedRuntime, NetworkedRuntimeError
 from repro.resilience.migration import MigrationPlan
@@ -42,10 +43,10 @@ def build():
     return config
 
 
-def run(migrations=None, rate=None):
+def run(migrations=None, rate=None, batch=None):
     runtime = NetworkedRuntime(
         build(), workers=4, adaptation_enabled=False, credit_window=16,
-        migrations=migrations,
+        migrations=migrations, batch=batch,
     )
     for i in range(2):
         runtime.bind_source(
@@ -79,6 +80,23 @@ def test_mid_stream_migration_is_loss_free(baseline):
     assert result.metrics.counter("migration.join.moves").value == 1
     pauses = result.metrics.histogram("migration.join.pause_seconds").samples
     assert len(pauses) == 1 and pauses[0] > 0
+
+
+def test_migration_under_micro_batching(baseline):
+    """The migration fence reaches a stage draining its inbox in chunks.
+
+    The fence arrives as a one-entry chunk; input accounting must skip
+    it rather than treat it as a data item.
+    """
+    runtime, result = run(
+        migrations=[MigrationPlan(stage="join", at=0.25, target="worker-3")],
+        rate=800.0,
+        batch=BatchPolicy(max_items=8, max_delay=0.01),
+    )
+    assert [(m.from_host, m.to_host) for m in runtime.migrations] == [
+        ("worker-2", "worker-3")
+    ]
+    assert normalize(result.final_value("join")) == baseline
 
 
 def test_matchmaker_picks_an_unoccupied_target(baseline):

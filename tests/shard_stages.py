@@ -7,7 +7,7 @@ through the repository's import scheme.  Payloads are dicts
 the JSON transport of the networked runtime round-trips them.
 """
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.core.api import StageContext, StreamProcessor
 from repro.simnet.hosts import CpuCostModel
@@ -22,6 +22,9 @@ class KeyedRelay(StreamProcessor):
     per key no matter how many times the group scales.
     """
 
+    #: Stream the relay emits to (``None`` = broadcast).
+    stream: Optional[str] = None
+
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
 
@@ -30,7 +33,7 @@ class KeyedRelay(StreamProcessor):
         self.counts[key] = self.counts.get(key, 0) + 1
         out = dict(payload)
         out["n"] = self.counts[key]
-        context.emit(out)
+        context.emit(out, stream=self.stream)
 
     def export_keyed_state(self) -> Dict[str, int]:
         state, self.counts = self.counts, {}
@@ -39,6 +42,16 @@ class KeyedRelay(StreamProcessor):
     def import_keyed_state(self, state: Dict[str, int]) -> None:
         for key, count in state.items():
             self.counts[key] = self.counts.get(key, 0) + count
+
+
+class NamedRelay(KeyedRelay):
+    """A :class:`KeyedRelay` that emits to its declared stream ``t`` by name.
+
+    Sharding renames a replica's outbound stream ``t`` to ``t#i``; the
+    declared name must still reach the sink from every replica.
+    """
+
+    stream = "t"
 
 
 class SlowKeyedRelay(KeyedRelay):
