@@ -7,7 +7,8 @@ express — they encode contracts established by earlier subsystems:
   :mod:`repro.obs.names` catalog (the registry enforces this at runtime;
   the lint moves the failure to authoring time).
 * GA502/GA503 — the simulation is deterministic: no wall clock, no global
-  RNG, in :mod:`repro.simnet`, :mod:`repro.core.runtime_sim`, :mod:`repro.core.stagecore`.
+  RNG, in :mod:`repro.simnet`, :mod:`repro.core.runtime_sim`, :mod:`repro.core.stagecore`,
+  :mod:`repro.core.ingress`.
 * GA504/GA505 — async hygiene in :mod:`repro.net`: no blocking calls in
   ``async def``, no synchronous lock held across an ``await``.
 * GA506 — the checkpoint contract: processor classes override
@@ -46,7 +47,9 @@ __all__ = [
 ]
 
 #: Module prefixes whose event order must be reproducible run-to-run.
-DETERMINISTIC_PREFIXES = ("repro.simnet", "repro.core.runtime_sim", "repro.core.stagecore")
+DETERMINISTIC_PREFIXES = (
+    "repro.simnet", "repro.core.runtime_sim", "repro.core.stagecore", "repro.core.ingress",
+)
 
 #: Module prefixes that move stream data (where a swallowed exception
 #: silently loses items or corrupts accounting).

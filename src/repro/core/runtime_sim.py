@@ -49,11 +49,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
+from repro.core.ingress import Ingress, SourceBinding, check_source, resolve_source
 from repro.core.items import EndOfStream, Item
 from repro.core.results import RunResult
 from repro.core.sharding import (
@@ -63,7 +64,6 @@ from repro.core.sharding import (
     groups_of,
 )
 from repro.core.stagecore import OutEdge, StageCore, owner_select
-from repro.core.termination import no_input_message
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
 from repro.obs.registry import MetricsRegistry
@@ -86,50 +86,6 @@ __all__ = ["RuntimeError_", "SimulatedRuntime", "SourceBinding"]
 
 class RuntimeError_(Exception):
     """Raised for invalid runtime configuration (name avoids the builtin)."""
-
-
-@dataclass
-class SourceBinding:
-    """An external data stream feeding a first-layer stage.
-
-    Parameters
-    ----------
-    name:
-        Diagnostic name; also the ``origin`` tag on injected items.
-    target_stage:
-        Name of the stage receiving the stream.
-    payloads:
-        Iterable of payload objects (consumed once).
-    rate:
-        Arrival rate in items/second, or ``None`` to deliver as fast as
-        the pipeline accepts (the finite-workload mode of the Figure 5/6
-        experiments).  Ignored when ``arrivals`` is given.
-    item_size:
-        Bytes per item, or a callable payload -> bytes.
-    arrivals:
-        Optional :class:`~repro.streams.arrivals.ArrivalProcess` supplying
-        inter-arrival gaps (Poisson, bursty ON/OFF ...); overrides
-        ``rate``.
-    drop_when_full:
-        If True, arrivals finding the stage queue at capacity are
-        *dropped* (counted in the stage's ``items_dropped``) instead of
-        back-pressuring the source — real instruments do not pause; "it
-        is often not feasible to store all data" (Section 1).
-    """
-
-    name: str
-    target_stage: str
-    payloads: Iterable[Any]
-    rate: Optional[float] = None
-    item_size: float | Callable[[Any], float] = 8.0
-    arrivals: Optional[Any] = None
-    drop_when_full: bool = False
-
-    def size_of(self, payload: Any) -> float:
-        """Bytes to account for ``payload`` on the wire."""
-        if callable(self.item_size):
-            return float(self.item_size(payload))
-        return float(self.item_size)
 
 
 @dataclass
@@ -234,7 +190,6 @@ class SimulatedRuntime:
         adaptation_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         trace_every: Optional[int] = None,
-        max_traces: int = 10_000,
         resilience: Optional[ResilienceConfig] = None,
         checkpoints: Optional[CheckpointStore] = None,
         batch: Optional[BatchPolicy] = None,
@@ -255,9 +210,7 @@ class SimulatedRuntime:
         self.adaptation_enabled = adaptation_enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every, max_traces=max_traces)
-            if trace_every is not None
-            else None
+            TraceCollector(trace_every) if trace_every is not None else None
         )
         self.batch = batch
         self.resilience = resilience
@@ -275,6 +228,7 @@ class SimulatedRuntime:
         elif checkpoints is not None:
             raise RuntimeError_("checkpoints= requires resilience= as well")
         self._bindings: List[SourceBinding] = []
+        self._ingresses: List[Ingress[_StageRuntime]] = []
         self._stages: Dict[str, _StageRuntime] = {}
         #: Shard groups reconstructed from the expanded config's replica
         #: markers (see repro.core.sharding); static here — the
@@ -303,18 +257,8 @@ class SimulatedRuntime:
         """
         if self._built:
             raise RuntimeError_("cannot bind sources after run()")
-        if binding.rate is not None and binding.rate <= 0:
-            raise RuntimeError_(f"source rate must be > 0, got {binding.rate}")
-        config = self.deployment.config
-        target = binding.target_stage
-        if not any(
-            stage.name == target
-            or stage.properties.get(SHARD_GROUP_PROPERTY) == target
-            for stage in config.stages
-        ):
-            raise RuntimeError_(
-                f"source {binding.name!r}: unknown target stage {target!r}"
-            )
+        stages = {stage.name: stage.properties for stage in self.deployment.config.stages}
+        check_source(binding, stages, RuntimeError_)
         self._bindings.append(binding)
 
     def _build(self) -> None:
@@ -364,7 +308,7 @@ class SimulatedRuntime:
             self._wire_edge(edge, src)
             src.out_edges.append(edge)
             dst.core.upstream.append(src.core)
-            dst.core.eos.expect(group=src.core.properties.get(SHARD_GROUP_PROPERTY))
+            dst.core.eos.expect()
         families = {
             name: (len(group.members), owner_select(group.owner))
             for name, group in self._groups.items()
@@ -379,18 +323,16 @@ class SimulatedRuntime:
 
         # Account for external source bindings (a group target expects
         # one end-of-stream per replica slot — the feeder sends to all).
+        groups = {name: (group.members, group.owner) for name, group in self._groups.items()}
         for binding in self._bindings:
-            group = self._groups.get(binding.target_stage)
-            if group is not None and binding.target_stage not in self._stages:
-                for member in group.members:
-                    self._stages[member].core.eos.expect()
-            else:
-                self._stages[binding.target_stage].core.eos.expect()
+            ingress = resolve_source(binding, self._stages, groups)
+            for stage in ingress.targets:
+                stage.core.eos.expect()
+            self._ingresses.append(ingress)
 
         # Every stage must have at least one input, or it can never end.
         for stage in self._stages.values():
-            if not stage.core.eos.has_inputs:
-                raise RuntimeError_(no_input_message(stage.name))
+            stage.core.require_input()
         self._built = True
 
         # Call setup() on every processor (parameters get declared here).
@@ -459,8 +401,8 @@ class SimulatedRuntime:
                 self.env.process(
                     self._recovery_watch(stage), name=f"recovery:{stage.name}"
                 )
-        for binding in self._bindings:
-            self.env.process(self._feeder(binding), name=f"feeder:{binding.name}")
+        for ingress in self._ingresses:
+            self.env.process(self._feeder(ingress), name=f"feeder:{ingress.binding.name}")
 
         finished = self.env.all_of(list(self._stage_done.values()))
         guard: Dict[str, bool] = {}
@@ -496,26 +438,19 @@ class SimulatedRuntime:
 
     # -- processes ------------------------------------------------------------
 
-    def _feeder(self, binding: SourceBinding) -> Generator:
-        group: Optional[ShardGroup] = None
-        if binding.target_stage in self._stages:
-            targets = [self._stages[binding.target_stage]]
-        else:
-            group = self._groups[binding.target_stage]
-            targets = [self._stages[member] for member in group.members]
-        if binding.arrivals is not None:
-            gaps: Optional[Any] = binding.arrivals.gaps()
-        else:
-            gaps = None
-        fixed_gap = 1.0 / binding.rate if binding.rate else 0.0
+    def _feeder(self, ingress: Ingress[_StageRuntime]) -> Generator:
+        binding = ingress.binding
+        targets, owner = ingress.targets, ingress.owner
+        gaps = ingress.gaps()
         for payload in binding.payloads:
-            gap = next(gaps) if gaps is not None else fixed_gap
-            if gap:
-                yield self.env.timeout(gap)
-            stage = targets[group.owner(payload)] if group is not None else targets[0]
+            if gaps is not None:
+                gap = next(gaps)
+                if gap:
+                    yield self.env.timeout(gap)
+            stage = targets[owner(payload)] if owner is not None else targets[0]
             item = Item(
                 payload=payload,
-                size=binding.size_of(payload),
+                size=ingress.size_of(payload),
                 origin=binding.name,
                 created_at=self.env.now,
             )
@@ -537,10 +472,11 @@ class SimulatedRuntime:
                 stage.queue.force_put(item)
             else:
                 # A blocking put waits for queue space; that back-pressure
-                # wait counts as queue time (the hop is already open).
+                # wait counts as queue time (the hop is already open), and
+                # the next gap starts once it returns.
                 yield stage.queue.put(item)
             stage.core.arrivals.observe(self.env.now)
-            if group is not None:
+            if owner is not None:
                 self._shard_counters[stage.name].inc()
         for stage in targets:
             yield stage.queue.put(EndOfStream(origin=binding.name))
@@ -559,7 +495,6 @@ class SimulatedRuntime:
     def _worker(self, stage: _StageRuntime, generation: int) -> Generator:
         host = self.network.host(stage.host_name)
         core = stage.core
-        metrics = core.metrics
         resilient = self.resilience is not None
         while True:
             if resilient and stage.generation != generation:
@@ -591,13 +526,11 @@ class SimulatedRuntime:
                 return
             stage.in_flight = True
             if isinstance(message, EndOfStream):
-                complete = core.eos.observe()
+                complete = core.end_of_stream()
                 self._advance_cursor(stage, message)
                 if not complete:
                     self._item_finished(stage)
                     continue
-                core.processor.flush(core)
-                core.det.finalize_stage(core.processor)
                 yield from self._transmit_pending(stage)
                 for index in range(len(stage.out_edges)):
                     yield from self._flush_edge_batch(stage, index)
@@ -613,21 +546,12 @@ class SimulatedRuntime:
                 self._stage_done[stage.name].succeed()
                 return
             assert isinstance(message, Item)
-            metrics.items_in.inc()
-            metrics.bytes_in.inc(message.size)
-            hop = message.hop
-            if hop is not None:
-                hop.dequeue_t = self.env.now
-            processor = core.processor
-            items, nbytes = processor.work_amount(message.payload, message.size)
+            core.arrived((message,))  # one message per get: the whole chunk
+            cost = core.take(message)
             try:
-                if items or nbytes:
-                    duration = yield host.execute(
-                        processor.cost_model, items=items, nbytes=nbytes
-                    )
-                    metrics.busy_seconds.inc(duration)
-                    if hop is not None:
-                        hop.process_t += duration
+                if cost is not None:
+                    duration = yield host.execute(core.processor.cost_model, seconds=cost)
+                    core.worked(message, duration)
             except HostFailedError:
                 if not resilient:
                     raise
@@ -635,18 +559,13 @@ class SimulatedRuntime:
                 return
             if resilient and stage.generation != generation:
                 return
-            try:
-                core.processor.on_item(message.payload, core)
-            except Exception as exc:
-                if isinstance(exc, HostFailedError) or not self._quarantine(
-                    stage, message.payload, exc, reason="processing"
-                ):
-                    raise
-                core.pending.clear()
+            poison = core.process(message)
+            if poison is not None:
+                self._log_quarantine(stage, poison, "processing")
                 self._advance_cursor(stage, message)
                 self._item_finished(stage)
                 continue
-            metrics.latency.observe(self.env.now - message.created_at)
+            hop = message.hop
             tx_start = self.env.now
             yield from self._transmit_pending(stage, trace=message.trace, hop=hop)
             if hop is not None and not stage.batched:
@@ -753,7 +672,8 @@ class SimulatedRuntime:
                         raise
                     items = message.items if isinstance(message, _BatchEnvelope) else [message]
                     for item in items:
-                        self._quarantine(stage, item.payload, exc, reason="transmission")
+                        if stage.core.quarantine(item.payload, exc, "transmission"):
+                            self._log_quarantine(stage, exc, "transmission")
                     return
                 self.metrics.counter(f"fault.{stage.name}.retries").inc()
                 delay = self.resilience.retry_delay(attempt, self._retry_rng)
@@ -1234,12 +1154,8 @@ class SimulatedRuntime:
         stage.checkpoint_due = False
         self._spawn_worker(stage)
 
-    def _quarantine(
-        self, stage: _StageRuntime, payload: Any, exc: BaseException, reason: str
-    ) -> bool:
-        """Quarantine one poison item and log it; False = must propagate."""
-        if not stage.core.quarantine(payload, exc, reason):
-            return False
+    def _log_quarantine(self, stage: _StageRuntime, exc: BaseException, reason: str) -> None:
+        """Log one quarantined item as an ``item-quarantined`` event."""
         if self._result is not None:
             self._result.events.log(
                 self.env.now,
@@ -1248,4 +1164,3 @@ class SimulatedRuntime:
                 reason=reason,
                 error=repr(exc),
             )
-        return True

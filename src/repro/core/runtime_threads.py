@@ -30,16 +30,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.api import StreamProcessor
 from repro.core.batching import BatchPolicy
 from repro.core.items import EndOfStream, Item
 from repro.core.results import RunResult
-from repro.core.runtime_sim import SourceBinding
+from repro.core.ingress import Ingress, SourceBinding, check_source, resolve_source
 from repro.core.sharding import (
-    SHARD_GROUP_PROPERTY,
     ShardGroup,
     ShardScaler,
     expand_shards,
@@ -49,12 +48,10 @@ from repro.core.sharding import (
     import_keyed_state,
 )
 from repro.core.stagecore import OutEdge, StageCore
-from repro.core.termination import no_input_message
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
 from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
-from repro.simnet.hosts import CpuCostModel
 from repro.simnet.links import TokenBucket
 
 __all__ = ["ThreadedRuntime", "ThreadedRuntimeError"]
@@ -86,16 +83,22 @@ class _MonitoredQueue:
         self._closed = False
         self._recent: deque = deque([0], maxlen=window)
 
-    def put(self, item: Any) -> None:
-        """Append one item, blocking while the queue is at capacity."""
+    def put(self, item: Any) -> bool:
+        """Append one item, blocking while the queue is at capacity.
+
+        Returns whether the producer had to wait for space.
+        """
+        waited = False
         with self._lock:
             while len(self._items) >= self.capacity and not self._closed:
+                waited = True
                 self._not_full.wait()
             if self._closed:
-                return
+                return waited
             self._items.append(item)
             self._recent.append(len(self._items))
             self._not_empty.notify()
+        return waited
 
     def put_many(self, items: List[Any]) -> None:
         """Append a batch under one lock acquisition, respecting capacity.
@@ -224,8 +227,9 @@ class _GroupState:
     members: List[_ThreadStage]
     lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def select(self, payload: Any, slot: Optional[int]) -> int:
-        """Pick the owning replica and reserve the delivery to it.
+    def select(self, payload: Any, slot: Optional[int] = None) -> int:
+        """Pick the owning replica (unless ``slot`` names one) and
+        reserve the delivery to it.
 
         The reservation (``delivered``) is taken under the routing lock
         together with the owner decision; the hand-off itself happens
@@ -244,6 +248,20 @@ class _GroupState:
 
 def _daemon(target: Callable[..., None], *args: Any) -> threading.Thread:
     return threading.Thread(target=target, args=args, daemon=True)
+
+
+def _sleep_until_due(due: float, gaps: Iterator[float]) -> float:
+    """Advance a source's schedule by one gap and sleep until then.
+
+    Each payload is taken one gap after the previous one, as in the
+    simulator; a feeder behind its schedule does not sleep, so
+    oversleeping and handoff cost do not add up.
+    """
+    due += next(gaps)
+    wait = due - time.monotonic()
+    if wait > 0:
+        time.sleep(wait)
+    return due
 
 
 class ThreadedRuntime:
@@ -268,7 +286,6 @@ class ThreadedRuntime:
         adaptation_enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         trace_every: Optional[int] = None,
-        max_traces: int = 10_000,
         resilience: Optional[ResilienceConfig] = None,
         checkpoints: Optional[CheckpointStore] = None,
         batch: Optional[BatchPolicy] = None,
@@ -291,9 +308,7 @@ class ThreadedRuntime:
         self.adaptation_enabled = adaptation_enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer: Optional[TraceCollector] = (
-            TraceCollector(trace_every, max_traces=max_traces)
-            if trace_every is not None
-            else None
+            TraceCollector(trace_every) if trace_every is not None else None
         )
         self.batch = batch
         self.resilience = resilience
@@ -427,7 +442,7 @@ class ThreadedRuntime:
             )
         source.out_edges.append(_ThreadEdge(dst=target, bucket=bucket, name=name))
         target.core.upstream.append(source.core)
-        target.core.eos.expect(group=source.core.properties.get(SHARD_GROUP_PROPERTY))
+        target.core.eos.expect()
 
     def bind_source(
         self,
@@ -450,16 +465,10 @@ class ThreadedRuntime:
         """
         if self._started:
             raise ThreadedRuntimeError("cannot bind sources after run()")
-        if target not in self._stages and not any(
-            s.core.properties.get(SHARD_GROUP_PROPERTY) == target
-            for s in self._stages.values()
-        ):
-            raise ThreadedRuntimeError(f"unknown stage {target!r}")
-        if rate is not None and rate <= 0:
-            raise ThreadedRuntimeError(f"rate must be > 0, got {rate}")
-        self._sources.append(
-            SourceBinding(name, target, payloads, rate, item_size, arrivals)
-        )
+        binding = SourceBinding(name, target, payloads, rate, item_size, arrivals)
+        stages = {name: stage.core.properties for name, stage in self._stages.items()}
+        check_source(binding, stages, ThreadedRuntimeError)
+        self._sources.append(binding)
 
     # -- execution ----------------------------------------------------------------
 
@@ -468,16 +477,13 @@ class ThreadedRuntime:
         if self._started:
             raise ThreadedRuntimeError("run() may only be called once")
         self._build_shards()
-        for source in self._sources:
-            state = self._groups.get(source.target_stage)
-            if state is not None:
-                for member in state.members:
-                    member.core.eos.expect(group=state.group.name)
-            else:
-                self._stages[source.target_stage].core.eos.expect()
+        groups = {name: (state.group.members, state.select) for name, state in self._groups.items()}
+        ingresses = [resolve_source(source, self._stages, groups) for source in self._sources]
+        for ingress in ingresses:
+            for stage in ingress.targets:
+                stage.core.eos.expect()
         for stage in self._stages.values():
-            if not stage.core.eos.has_inputs:
-                raise ThreadedRuntimeError(no_input_message(stage.name))
+            stage.core.require_input()
         self._started = True
         self._start_time = time.monotonic()
         result = RunResult(app_name="threaded-app")
@@ -499,7 +505,7 @@ class ThreadedRuntime:
         for state in self._groups.values():
             if state.group.policy.elastic:
                 _daemon(self._autoscaler, state, stop_monitors).start()
-        threads.extend(_daemon(self._feeder, source) for source in self._sources)
+        threads.extend(_daemon(self._feeder, ingress) for ingress in ingresses)
         for thread in threads:
             thread.start()
 
@@ -543,114 +549,70 @@ class ThreadedRuntime:
         with stage.rate_lock:
             stage.core.arrivals.observe(self.elapsed(), count=count)
 
-    def _feeder(self, source: SourceBinding) -> None:
-        state = self._groups.get(source.target_stage)
-        if state is not None:
-            self._feed_group(source, state)
-            return
-        stage = self._stages[source.target_stage]
-        gaps = source.arrivals.gaps() if source.arrivals is not None else None
-        fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
-        # When the target stage batches, back-to-back arrivals (no pacing
-        # gap) are handed over in chunks of the stage's batch size — one
-        # lock round-trip and one rate observation per chunk.
+    def _feeder(self, ingress: Ingress[_ThreadStage]) -> None:
+        """Feed one source on a running schedule (see :func:`_sleep_until_due`);
+        a handoff that waited for queue space restarts it.  An unpaced
+        source into one batching stage hands items over in chunks of its
+        batch size (one lock round-trip and rate observation per chunk).
+        """
+        source = ingress.binding
+        targets, owner, size_of = ingress.targets, ingress.owner, ingress.size_of
+        gaps = ingress.gaps(self.time_scale)
+        tracer = self.tracer
+        stage = targets[0]
         batch = stage.core.batch
+        chunking = batch is not None and gaps is None and owner is None
         chunk_limit = batch.max_items if batch is not None else 1
         chunk: List[Item] = []
-
-        def flush_chunk() -> None:
-            if not chunk:
-                return
-            if len(chunk) == 1:
-                stage.queue.put(chunk[0])
-            else:
-                stage.queue.put_many(chunk)
-            self._observe_arrival(stage, count=len(chunk))
-            chunk.clear()
-
+        due = time.monotonic()
         for payload in source.payloads:
-            gap = next(gaps) * self.time_scale if gaps is not None else fixed_gap
-            if gap:
-                flush_chunk()
-                time.sleep(gap)
+            if owner is not None:
+                stage = targets[owner(payload)]
             item = Item(
-                payload=payload, size=source.size_of(payload), origin=source.name,
+                payload=payload, size=size_of(payload), origin=source.name,
                 created_at=self.elapsed(),
             )
-            if self.tracer is not None:
-                item.trace = self.tracer.maybe_trace(source.name, item.created_at)
+            if tracer is not None:
+                item.trace = tracer.maybe_trace(source.name, item.created_at)
                 if item.trace is not None:
                     self.metrics.counter("run.traced_items").inc()
                     item.hop = item.trace.begin_hop(stage.name, self.elapsed())
-            chunk.append(item)
-            if len(chunk) >= chunk_limit:
-                flush_chunk()
-        flush_chunk()
-        stage.queue.put(EndOfStream(origin=source.name))
-
-    def _feed_group(self, source: SourceBinding, state: _GroupState) -> None:
-        """Feeder body for a source bound to a shard group.
-
-        Each payload goes to its key's owning replica, picked and
-        reserved under the group's routing lock (:meth:`_GroupState.select`);
-        every replica slot (active or not) receives one end-of-stream
-        sentinel, matching the per-member expectations registered by
-        :meth:`run`.
-        """
-        members = state.members
-        gaps = source.arrivals.gaps() if source.arrivals is not None else None
-        fixed_gap = (1.0 / source.rate) * self.time_scale if source.rate else 0.0
-        for payload in source.payloads:
-            gap = next(gaps) * self.time_scale if gaps is not None else fixed_gap
-            if gap:
-                time.sleep(gap)
-            size = (
-                float(source.item_size(payload))
-                if callable(source.item_size)
-                else float(source.item_size)
-            )
-            item = Item(
-                payload=payload, size=size, origin=source.name,
-                created_at=self.elapsed(),
-            )
-            if self.tracer is not None:
-                item.trace = self.tracer.maybe_trace(source.name, item.created_at)
-                if item.trace is not None:
-                    self.metrics.counter("run.traced_items").inc()
-            member = members[state.select(payload, None)]
-            if item.trace is not None:
-                item.hop = item.trace.begin_hop(member.name, self.elapsed())
-            member.queue.put(item)
-            self._observe_arrival(member)
-            if member.shard_items is not None:
-                member.shard_items.inc()
-        for member in members:
-            member.queue.put(EndOfStream(origin=source.name))
+            if chunking:
+                chunk.append(item)
+                if len(chunk) >= chunk_limit:
+                    stage.queue.put_many(chunk)
+                    self._observe_arrival(stage, count=len(chunk))
+                    chunk = []
+                continue
+            if stage.queue.put(item):
+                due = time.monotonic()
+            self._observe_arrival(stage)
+            if owner is not None and stage.shard_items is not None:
+                stage.shard_items.inc()
+            if gaps is not None:
+                due = _sleep_until_due(due, gaps)
+        if chunk:
+            stage.queue.put_many(chunk)
+            self._observe_arrival(stage, count=len(chunk))
+        for stage in targets:
+            stage.queue.put(EndOfStream(origin=source.name))
 
     def _worker(self, stage: _ThreadStage) -> None:
         core = stage.core
-        metrics = core.metrics
         batch = core.batch
         batching = batch is not None and bool(stage.out_edges)
         # Chunked input drain applies to every stage under a batch policy
         # (sinks included — they have no output buffers but still benefit
         # from amortized queue locking and aggregated accounting).
-        cost_model = core.processor.cost_model
-        free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
+        chunk = batch.max_items if batch is not None else 1
         local: deque = deque()
         try:
             while True:
                 if not local:
                     try:
-                        if batch is not None:
-                            drained = stage.queue.get_many(
-                                batch.max_items,
-                                timeout=core.flush_timeout(),
-                            )
-                            local.extend(drained)
-                            core.arrived(drained)
-                        else:
-                            local.append(stage.queue.get())
+                        drained = stage.queue.get_many(chunk, timeout=core.flush_timeout())
+                        local.extend(drained)
+                        core.arrived(drained)
                     except TimeoutError:
                         # No input before the oldest batch's age bound:
                         # flush whatever is due and keep waiting.
@@ -658,48 +620,25 @@ class ThreadedRuntime:
                         continue
                 message = local.popleft()
                 if isinstance(message, EndOfStream):
-                    if not core.eos.observe():
-                        continue
                     with stage.state_lock:
-                        core.processor.flush(core)
-                        core.det.finalize_stage(core.processor)
+                        if not core.end_of_stream():
+                            continue
                     self._transmit_pending(stage)
                     for index in range(len(stage.out_edges)):
                         self._flush_edge(stage, index)
                     for edge in stage.out_edges:
                         edge.dst.queue.put(EndOfStream(origin=stage.name))
                     return
-                if batch is None:
-                    metrics.items_in.inc()
-                    metrics.bytes_in.inc(message.size)
-                hop = message.hop
-                if hop is not None:
-                    hop.dequeue_t = self.elapsed()
-                if not free:
-                    items, nbytes = core.processor.work_amount(
-                        message.payload, message.size
-                    )
-                    cost = cost_model.cost(items, nbytes)
-                    if cost > 0:
-                        time.sleep(cost * self.time_scale)
-                        metrics.busy_seconds.inc(cost * self.time_scale)
-                        if hop is not None:
-                            hop.process_t += cost * self.time_scale
-                mark = len(core.pending)
-                try:
-                    with stage.state_lock:
-                        core.processor.on_item(message.payload, core)
-                except Exception as exc:
-                    if not core.quarantine(message.payload, exc, "processing"):
-                        raise
-                    # Poison item: drop whatever it half-emitted (earlier
-                    # chunk-mates' deferred emissions stay) and keep the
-                    # stage alive (skip / dead-letter).
-                    del core.pending[mark:]
-                    stage.consumed += 1
-                    continue
+                cost = core.take(message)
+                if cost:
+                    time.sleep(cost)
+                    core.worked(message, cost)
+                with stage.state_lock:
+                    poison = core.process(message)
                 stage.consumed += 1
-                metrics.latency.observe(self.elapsed() - message.created_at)
+                if poison is not None:
+                    continue
+                hop = message.hop
                 if batching:
                     # Transmission happens at flush time; _flush_edge
                     # shares the measured wait across the batch's parent

@@ -9,14 +9,18 @@ context, routing over solo edges and shard families, draining emissions
 into per-edge batch buffers, the monitor tick, the ``setup()`` /
 restoring re-``setup()`` sequence, checkpoint assembly and quarantine.
 
-Each runtime is a driver around it and supplies the rest: a clock, an
-input queue (sampled by the estimator), a send primitive for what
+So is the item step: input accounting and cost, ``on_item`` under the
+poison-item rule, and end-of-stream completion.
+
+Each runtime is a driver around it and supplies only waiting and
+handoff: a clock, an input queue (sampled by the estimator), the wait
+for an item's modeled cost, a send primitive for what
 :meth:`StageCore.drain` yields and :meth:`StageCore.take_batch` returns,
 and a scheduler calling :meth:`StageCore.tick`.  Which edges get a batch
 buffer is the driver's decision, passed to :meth:`StageCore.wire`, and
 so is how it stamps the items it builds from a flushed batch.  Locks,
 timers, sockets and simulation processes stay in the drivers; nothing
-here reads a clock or blocks.
+here blocks, and time comes only from the driver's clock.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from repro.metrics.rates import RateEstimator
 from repro.obs.registry import BatchMetrics, Counter, MetricsRegistry, StageMetrics
 from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
+from repro.simnet.hosts import CpuCostModel
 
 __all__ = ["Entry", "OutEdge", "RouteUnit", "Select", "StageCore", "owner_select"]
 
@@ -118,10 +123,10 @@ class StageCore(StageContext):
 
     A driver constructs it around the stage's queue and its own clock,
     :meth:`wire` s the out-edges, :meth:`setup` s the processor, and
-    then per item consumes :meth:`drain` and flushes :meth:`take_full`.
-    ``error`` builds the driver's exception for runtime misuse; the
-    batch policy's ``max_delay`` is scaled by ``time_scale`` into clock
-    units.
+    then per item calls :meth:`take`, waits, :meth:`process`, consumes
+    :meth:`drain` and flushes :meth:`take_full`.  ``error`` builds the
+    driver's exception for runtime misuse; ``time_scale`` converts the
+    batch ``max_delay`` and the cost model's seconds into clock units.
     """
 
     def __init__(
@@ -145,6 +150,7 @@ class StageCore(StageContext):
         self.registry = registry
         self.clock = clock
         self.error = error
+        self.time_scale = time_scale
         self.resilience = resilience
         self.dead_letters = dead_letters
         try:
@@ -180,6 +186,10 @@ class StageCore(StageContext):
         self._samples = 0
         self._in_setup = False
         self._restoring = False
+        #: The processor's cost model if it is free and the work amount
+        #: is the default one (every item then costs exactly 0).
+        self._free_model: Optional[CpuCostModel] = None
+        self._flushed = False
 
     # -- StageContext --------------------------------------------------------
 
@@ -247,7 +257,10 @@ class StageCore(StageContext):
         return self._properties
 
     def arrived(self, messages: Iterable[Any]) -> None:
-        """Count the data items of a drained input chunk as ``items_in``/``bytes_in``."""
+        """Count the data items of a drained input chunk as ``items_in``/``bytes_in``
+        when the stage is batched (an unbatched one counts in :meth:`take`)."""
+        if self.batch is None:
+            return
         count, nbytes = 0, 0.0
         for message in messages:
             if isinstance(message, Item):
@@ -312,6 +325,88 @@ class StageCore(StageContext):
                 processor.restore(checkpoint.processor_state)
             self.eos.restore(checkpoint.eos_seen)
         self.processor = processor
+        self._flushed = False
+        model = processor.cost_model
+        free = isinstance(model, CpuCostModel) and model.is_free
+        default_work = type(processor).work_amount is StreamProcessor.work_amount
+        self._free_model = model if free and default_work else None
+
+    # -- the item step -------------------------------------------------------
+
+    def take(self, message: Item) -> Optional[float]:
+        """Take one input item; returns its cost in clock units.
+
+        Counts the item when the stage is unbatched (a batched stage
+        counts the drained chunks in :meth:`arrived`) and stamps the
+        hop's dequeue time.  The cost is the processor's current cost
+        model applied to the work amount: None for a zero work amount.
+        The driver waits it out and reports the time with :meth:`worked`.
+        """
+        if self.batch is None:
+            self.metrics.items_in.inc()
+            self.metrics.bytes_in.inc(message.size)
+        hop = message.hop
+        if hop is not None:
+            hop.dequeue_t = self.clock()
+        processor = self.processor
+        assert processor is not None
+        if processor.cost_model is self._free_model:
+            return 0.0
+        items, nbytes = processor.work_amount(message.payload, message.size)
+        if not (items or nbytes):
+            return None
+        return processor.cost_model.cost(items, nbytes) * self.time_scale
+
+    def worked(self, message: Item, seconds: float) -> None:
+        """Account ``seconds`` of processing spent on ``message``."""
+        self.metrics.busy_seconds.inc(seconds)
+        hop = message.hop
+        if hop is not None:
+            hop.process_t += seconds
+
+    def process(self, message: Item) -> Optional[Exception]:
+        """Run ``on_item``; observes the latency and returns None.
+
+        If it raises and the error policy quarantines the item, only the
+        emissions it left in :attr:`pending` are dropped and the
+        exception is returned for the driver to log; otherwise it
+        propagates.
+        """
+        processor = self.processor
+        assert processor is not None
+        mark = len(self.pending)
+        try:
+            processor.on_item(message.payload, self)
+        except Exception as exc:
+            if not self.quarantine(message.payload, exc, "processing"):
+                raise
+            del self.pending[mark:]
+            return exc
+        self.metrics.latency.observe(self.clock() - message.created_at)
+        return None
+
+    def require_input(self) -> None:
+        """Refuse a stage without inputs (it could never end) with ``error``."""
+        if not self.eos.expected:
+            raise self.error(
+                f"stage {self.name!r} has no input streams or source bindings "
+                "and would never terminate"
+            )
+
+    def end_of_stream(self) -> bool:
+        """Count one end-of-stream marker; True if it completes the input.
+
+        The processor is then flushed and its deterministic context
+        finalized, once per processor; the driver ships what is left.
+        """
+        if not self.eos.observe() or self._flushed:
+            return False
+        processor = self.processor
+        assert processor is not None
+        self._flushed = True
+        processor.flush(self)
+        self.det.finalize_stage(processor)
+        return True
 
     # -- routing -------------------------------------------------------------
 

@@ -7,46 +7,20 @@ source bindings), flushed, and forwarded its own sentinel downstream.
 
 The counting itself is identical in the simulated, threaded, and
 networked runtimes, so it lives here once.  The tracker is deliberately
-tiny: runtimes own scheduling, flushing, and propagation; the tracker
+tiny: the stage core flushes and the runtimes propagate; the tracker
 only answers "how many sentinels am I waiting for, and has the last one
 arrived?".
 
 Sharded upstreams (see :mod:`repro.core.sharding`) fan one logical
 stream out into one edge per replica; each edge registers its own
-expectation, so replica-group termination needs no special case.  The
-tracker additionally accepts an optional *group* label per expectation,
-letting a runtime account sentinels per replica group (``remaining_in``)
-— e.g. to tell which upstream group a drain is still waiting on.
+expectation, so replica-group termination needs no special case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
 
-__all__ = ["EosTracker", "no_input_message"]
-
-#: Label under which unlabeled expectations/observations are accounted.
-_DEFAULT_GROUP = ""
-
-
-def no_input_message(stage_name: str) -> str:
-    """Standard error text for a stage that could never terminate.
-
-    A stage with zero inputs never receives an ``EndOfStream`` and would
-    hang the run; every runtime rejects such stages at build time with
-    this message (each wrapped in its own runtime-specific error type).
-
-    Arguments:
-        stage_name: The inputless stage's name.
-
-    Returns:
-        The shared, runtime-independent error message.
-    """
-    return (
-        f"stage {stage_name!r} has no input streams or source bindings "
-        "and would never terminate"
-    )
+__all__ = ["EosTracker"]
 
 
 @dataclass
@@ -63,38 +37,23 @@ class EosTracker:
     (see :class:`repro.resilience.checkpoint.StageCheckpoint`) and
     failover restores it via :meth:`restore`, so an at-least-once replay
     recounts exactly the sentinels that were not yet acknowledged.
-
-    Expectations may carry a *group* label — the name of the upstream
-    replica group whose edges they stand for.  Grouping never changes
-    completion (the totals decide that); it only adds per-group
-    accounting (:meth:`remaining_in`, :meth:`groups`).  Checkpoints
-    persist only the total, so a restore loses the per-group split —
-    acceptable, because replay re-delivers sentinels through the same
-    labeled :meth:`observe` calls.
     """
 
     expected: int = 0
     seen: int = 0
-    #: Per-group (expected, seen) counts; unlabeled calls use "".
-    _groups: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
-    def expect(self, n: int = 1, group: Optional[str] = None) -> None:
+    def expect(self, n: int = 1) -> None:
         """Register ``n`` more inputs whose sentinels must arrive.
 
         Arguments:
             n: Number of additional inputs (>= 0); one per inbound
                 stream edge or source binding.
-            group: Optional replica-group label for per-group
-                accounting (e.g. the upstream shard group's name).
         """
         if n < 0:
             raise ValueError("cannot expect a negative number of inputs")
         self.expected += n
-        label = group if group is not None else _DEFAULT_GROUP
-        exp, seen = self._groups.get(label, (0, 0))
-        self._groups[label] = (exp + n, seen)
 
-    def observe(self, group: Optional[str] = None) -> bool:
+    def observe(self) -> bool:
         """Consume one sentinel; ``True`` if the input set is complete.
 
         Tolerant of over-delivery (at-least-once replay may re-deliver a
@@ -102,56 +61,12 @@ class EosTracker:
         returning ``True`` rather than raising, matching the historical
         behaviour of both runtimes.
 
-        Arguments:
-            group: Optional replica-group label the sentinel arrived
-                from; must match the label used at :meth:`expect` time
-                for per-group accounting to stay meaningful.
-
         Returns:
             ``True`` exactly from the sentinel completing the input set
             onward; ``False`` while sentinels are still outstanding.
         """
         self.seen += 1
-        label = group if group is not None else _DEFAULT_GROUP
-        exp, seen = self._groups.get(label, (0, 0))
-        self._groups[label] = (exp, seen + 1)
         return self.seen >= self.expected
-
-    @property
-    def has_inputs(self) -> bool:
-        """Whether at least one input was registered."""
-        return self.expected > 0
-
-    @property
-    def complete(self) -> bool:
-        """Whether every expected sentinel has been observed."""
-        return self.expected > 0 and self.seen >= self.expected
-
-    @property
-    def remaining(self) -> int:
-        """Sentinels still outstanding (never negative)."""
-        return max(0, self.expected - self.seen)
-
-    def remaining_in(self, group: str) -> int:
-        """Sentinels still outstanding from one labeled group.
-
-        Arguments:
-            group: A replica-group label passed to :meth:`expect`.
-
-        Returns:
-            Outstanding sentinels under that label (never negative);
-            0 for labels never registered.
-        """
-        exp, seen = self._groups.get(group, (0, 0))
-        return max(0, exp - seen)
-
-    def groups(self) -> Tuple[str, ...]:
-        """The labels expectations were registered under.
-
-        Returns:
-            Sorted group labels, excluding the unlabeled default bucket.
-        """
-        return tuple(sorted(g for g in self._groups if g != _DEFAULT_GROUP))
 
     # -- checkpoint support ------------------------------------------------
     def snapshot(self) -> int:
@@ -168,14 +83,7 @@ class EosTracker:
         """Reset progress from a checkpoint.
 
         Arguments:
-            seen: The checkpointed :meth:`snapshot` value; per-group
-                splits are cleared into the unlabeled bucket
-                (``expected`` is rewiring's job).
+            seen: The checkpointed :meth:`snapshot` value (``expected``
+                is rewiring's job).
         """
         self.seen = int(seen)
-        self._groups = {
-            label: (exp, 0) for label, (exp, _) in self._groups.items()
-        }
-        if self.seen:
-            exp, _ = self._groups.get(_DEFAULT_GROUP, (0, 0))
-            self._groups[_DEFAULT_GROUP] = (exp, self.seen)

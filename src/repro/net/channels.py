@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.net.protocol import (
     FrameType,
@@ -65,6 +65,15 @@ class ChannelError(Exception):
     """Raised when a data channel breaks mid-stream."""
 
 
+class _Fence:
+    """A :meth:`AsyncInbox.put_barrier` entry, in its place in the queue."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Any) -> None:
+        self.entry = entry
+
+
 class AsyncInbox:
     """A stage's input queue, satisfying the estimator's QueueLike protocol.
 
@@ -74,97 +83,39 @@ class AsyncInbox:
     have outstanding, and in-flight data cannot be un-sent — the same
     reasoning as the simulated runtime's ``force_put``).
 
-    The inbox can be *sharded into lanes*: each input edge appends to its
-    own deque, so concurrent producers touch disjoint tails, and the two
-    conditions (not-empty for consumers, not-full for blocking
-    producers) share one lock but wake exactly the waiters that can make
-    progress — ``notify(1)`` instead of a notify-all thundering herd on
-    every operation.  The consumer drains lanes round-robin, preserving
-    per-lane FIFO (each stream's items, and its EOS, live in one lane).
-
-    ``put_barrier`` entries sit outside the lanes and are sequenced by a
-    fence *epoch*: every item carries the number of fences enqueued
-    before it, so a fence is delivered exactly after the items that
-    preceded it (across all lanes) and before any item enqueued after it
-    — the same total-order guarantee the old single-deque inbox gave the
-    migration fence, kept under sharding.
+    One deque holds every entry in arrival order, so each input edge's
+    items (and its EOS) stay FIFO.  A ``put_barrier`` fence takes its
+    place in that deque, is delivered alone (never inside a ``get_many``
+    chunk) and does not count against the capacity.
     """
 
-    def __init__(self, capacity: int, window: int, lanes: int = 1) -> None:
+    def __init__(self, capacity: int, window: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.capacity = capacity
-        self.lanes = lanes
-        self._lanes: List[deque] = [deque() for _ in range(lanes)]
-        self._fences: deque = deque()
-        #: Fences enqueued so far; stamped onto every item so delivery
-        #: can tell pre-fence items from post-fence ones.
-        self._epoch = 0
-        self._size = 0
-        self._next_lane = 0
+        self._entries: deque = deque()
+        #: Fences currently among the entries.
+        self._fences = 0
         self._recent: deque = deque([0], maxlen=window)
         lock = asyncio.Lock()
         self._not_empty = asyncio.Condition(lock)
         self._not_full = asyncio.Condition(lock)
 
     def _record(self) -> None:
-        self._recent.append(self._size + len(self._fences))
+        self._recent.append(len(self._entries))
 
-    def _lane_for(self, lane: int) -> deque:
-        return self._lanes[lane % self.lanes]
-
-    def _has_deliverable(self) -> bool:
-        return self._size > 0 or bool(self._fences)
-
-    def _item_available(self) -> bool:
-        """True when an item (not a fence) may be delivered next: lanes
-        hold something, and it is not sequenced behind the head fence.
-        Per-lane FIFO keeps each lane's lowest epoch at its head, so
-        checking heads is exact."""
-        if self._size == 0:
-            return False
-        if not self._fences:
-            return True
-        f_epoch = self._fences[0][0]
-        return any(lane and lane[0][0] <= f_epoch for lane in self._lanes)
-
-    def _pop_one(self) -> Any:
-        """Pop the next entry: round-robin across lanes whose head is not
-        fenced off, else the head fence.  Caller holds the lock and has
-        checked :meth:`_has_deliverable`."""
-        f_epoch = self._fences[0][0] if self._fences else None
-        if self._size:
-            n = self.lanes
-            for step in range(n):
-                index = (self._next_lane + step) % n
-                lane = self._lanes[index]
-                if lane and (f_epoch is None or lane[0][0] <= f_epoch):
-                    self._next_lane = (index + 1) % n
-                    self._size -= 1
-                    return lane.popleft()[1]
-        if f_epoch is None:
-            raise AssertionError("inbox size desynchronized from its lanes")
-        return self._fences.popleft()[1]
-
-    async def put(self, entry: Any, lane: int = 0) -> None:
+    async def put(self, entry: Any) -> None:
         async with self._not_full:
-            while self._size >= self.capacity:
+            while len(self._entries) - self._fences >= self.capacity:
                 await self._not_full.wait()
-            self._lane_for(lane).append((self._epoch, entry))
-            self._size += 1
+            self._entries.append(entry)
             self._record()
             self._not_empty.notify(1)
 
-    async def force_put(self, entry: Any, lane: int = 0) -> None:
-        async with self._not_empty:
-            self._lane_for(lane).append((self._epoch, entry))
-            self._size += 1
-            self._record()
-            self._not_empty.notify(1)
+    async def force_put(self, entry: Any) -> None:
+        await self.force_put_many([entry])
 
-    async def force_put_many(self, entries: "list", lane: int = 0) -> None:
+    async def force_put_many(self, entries: "list") -> None:
         """Append a whole batch under one lock/notify round-trip.
 
         One queue-length sample for the batch, matching the threaded
@@ -174,55 +125,47 @@ class AsyncInbox:
         if not entries:
             return
         async with self._not_empty:
-            epoch = self._epoch
-            self._lane_for(lane).extend((epoch, entry) for entry in entries)
-            self._size += len(entries)
+            self._entries.extend(entries)
             self._record()
             self._not_empty.notify_all()
 
     async def put_barrier(self, entry: Any) -> None:
         """Enqueue a fence delivered after everything enqueued before it
-        (across all lanes) and before anything enqueued after it."""
+        and before anything enqueued after it."""
         async with self._not_empty:
-            self._fences.append((self._epoch, entry))
-            self._epoch += 1
+            self._entries.append(_Fence(entry))
+            self._fences += 1
             self._record()
-            self._not_empty.notify_all()
+            self._not_empty.notify(1)
 
     async def get(self) -> Any:
-        async with self._not_empty:
-            while not self._has_deliverable():
-                await self._not_empty.wait()
-            entry = self._pop_one()
-            self._record()
-            if self._has_deliverable():
-                self._not_empty.notify(1)
-            self._not_full.notify(1)
-            return entry
+        return (await self.get_many(1))[0]
 
     async def get_many(self, max_items: int) -> "list":
         """Await the first entry, then drain up to ``max_items`` without
         further waiting — the consumer-side half of the batched handoff
         (one event-loop suspension per chunk instead of per item).
-        Fences are never mixed into an item chunk: a fence is returned
-        alone, once the items sequenced before it have been taken."""
+        A fence is returned alone, once the items before it are taken."""
         async with self._not_empty:
-            while not self._has_deliverable():
+            entries = self._entries
+            while not entries:
                 await self._not_empty.wait()
-            out = []
-            while self._item_available() and len(out) < max_items:
-                out.append(self._pop_one())
-            if not out and self._fences:
-                out.append(self._fences.popleft()[1])
+            if isinstance(entries[0], _Fence):
+                self._fences -= 1
+                out = [entries.popleft().entry]
+            else:
+                out = []
+                while entries and len(out) < max_items and not isinstance(entries[0], _Fence):
+                    out.append(entries.popleft())
             self._record()
-            if self._has_deliverable():
+            if entries:
                 self._not_empty.notify(1)
             self._not_full.notify_all()
             return out
 
     @property
     def current_length(self) -> int:
-        return self._size + len(self._fences)
+        return len(self._entries)
 
     @property
     def recent_average(self) -> float:
@@ -247,17 +190,12 @@ class InChannel:
     what a stalled peer can pin in memory.
     """
 
-    def __init__(
-        self, stream: str, dst_stage: str, window: int, lane: int = 0
-    ) -> None:
+    def __init__(self, stream: str, dst_stage: str, window: int) -> None:
         if window < 1:
             raise ValueError(f"credit window must be >= 1, got {window}")
         self.stream = stream
         self.dst_stage = dst_stage
         self.window = window
-        #: Which inbox lane this channel's items land in (one lane per
-        #: input edge keeps per-stream FIFO under sharded inboxes).
-        self.lane = lane
         self.replenish_batch = max(1, window // 2)
         self._writer: Optional[asyncio.StreamWriter] = None
         self._consumed = 0
@@ -490,7 +428,7 @@ class OutChannel:
                 self._broken = True
                 self._cond.notify_all()
 
-    async def _acquire_credit(self, n: int = 1) -> int:
+    async def _acquire_credit(self, n: int = 1) -> Tuple[int, bool]:
         """Take ``n`` credits (one per item), waiting for replenishment.
 
         Credit is charged per item, not per frame: a batched DATA frame
@@ -498,10 +436,12 @@ class OutChannel:
         receiver's in-flight bound (``window`` items) holds no matter how
         items are packed into frames.  Returns the grant epoch the
         credits were taken from, so an unused acquisition can be returned
-        to the right pool (see :meth:`_release_credit`).
+        to the right pool (see :meth:`_release_credit`), and whether the
+        sender had to wait.
         """
         async with self._cond:
-            if self._credits < n:
+            stalled = self._credits < n
+            if stalled:
                 self.credit_stalls.inc()
                 stalled_at = self._clock()
                 while self._credits < n and not self._broken:
@@ -516,7 +456,7 @@ class OutChannel:
             if in_flight > self._peak:
                 self._peak = in_flight
                 self.in_flight_peak.set(float(in_flight))
-            return self._grant_epoch
+            return self._grant_epoch, stalled
 
     async def _release_credit(self, n: int, epoch: int) -> None:
         """Return credits a send acquired but did not spend (pause race).
@@ -530,7 +470,7 @@ class OutChannel:
                 self._credits += n
                 self._cond.notify_all()
 
-    async def _ship(self, frame: Union[bytes, bytearray], items: int) -> None:
+    async def _ship(self, frame: Union[bytes, bytearray], items: int) -> bool:
         """Credit + pause discipline shared by every send path.
 
         ``frame`` is a complete pre-built frame buffer (header already
@@ -545,13 +485,15 @@ class OutChannel:
         in-flight frame write.  Under the gate the pause flag is
         re-checked; if a pause raced in while this sender waited for
         credit, the credits go back to their grant epoch's pool and the
-        sender re-parks.
+        sender re-parks.  Returns whether the sender waited for credit.
         """
+        waited = False
         while True:
             await self._resume.wait()
             epoch = 0
             if items:
-                epoch = await self._acquire_credit(items)
+                epoch, stalled = await self._acquire_credit(items)
+                waited = waited or stalled
             async with self._send_gate:
                 if not self._resume.is_set():
                     if items:
@@ -566,10 +508,12 @@ class OutChannel:
                 self.frames.inc()
                 self.bytes.inc(len(frame))
                 self.items_sent += items
-                return
+                return waited
 
-    async def send(self, payload: Any, size: float) -> None:
+    async def send(self, payload: Any, size: float) -> bool:
         """Ship one item; blocks while the credit window is exhausted.
+
+        Returns whether it had to wait for credit.
 
         No eager connected-check here: during a migration re-dial the
         writer is transiently ``None`` while ``_resume`` is cleared, and
@@ -578,19 +522,19 @@ class OutChannel:
         """
         buf = new_frame_buffer()
         encode_payload_into(buf, payload, size)
-        await self._ship(finish_frame(buf, FrameType.DATA), 1)
+        return await self._ship(finish_frame(buf, FrameType.DATA), 1)
 
-    async def send_batch(self, items: "list[tuple[Any, float]]") -> None:
+    async def send_batch(self, items: "list[tuple[Any, float]]") -> bool:
         """Ship several ``(payload, declared size)`` items batched.
 
         Chunks the batch to at most ``window`` items per DATA frame —
         acquiring more credits than the window holds would deadlock, and
         the receiver sized its buffering to the window.  Each chunk is
         encoded straight into one frame buffer and costs one write and
-        one drain instead of one per item.
+        one drain instead of one per item.  Returns whether any chunk
+        had to wait for credit.
         """
-        if not items:
-            return
+        waited = False
         start = 0
         while start < len(items):
             limit = self._window if self._window > 0 else 1
@@ -601,7 +545,9 @@ class OutChannel:
                 encode_payload_into(buf, chunk[0][0], chunk[0][1])
             else:
                 encode_payload_batch_into(buf, chunk)
-            await self._ship(finish_frame(buf, FrameType.DATA), len(chunk))
+            if await self._ship(finish_frame(buf, FrameType.DATA), len(chunk)):
+                waited = True
+        return waited
 
     async def send_eos(self) -> None:
         """Ship the end-of-stream sentinel (EOS frames consume no credit)."""

@@ -42,12 +42,12 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.batching import BatchBuffer, BatchPolicy
 from repro.core.results import RunResult, StageStats
-from repro.core.runtime_sim import SourceBinding
+from repro.core.ingress import Ingress, SourceBinding, check_source, resolve_source
 from repro.core.sharding import (
     BOUNDARIES_PROPERTY,
     PARTITIONER_PROPERTY,
@@ -131,8 +131,6 @@ class NetworkedRuntime:
         repository: Optional[CodeRepository] = None,
         verify: bool = True,
         migrations: Optional[Sequence[MigrationPlan]] = None,
-        uds: Optional[bool] = None,
-        inbox_lanes: int = 1,
     ) -> None:
         """``verify=True`` (the default) runs the static verifier
         (:mod:`repro.analysis.verifier`) over ``config`` and refuses
@@ -166,10 +164,6 @@ class NetworkedRuntime:
             )
         if isinstance(workers, int) and workers < 1:
             raise NetworkedRuntimeError(f"need at least 1 worker, got {workers}")
-        if inbox_lanes < 1:
-            raise NetworkedRuntimeError(
-                f"inbox_lanes must be >= 1, got {inbox_lanes}"
-            )
         plans = list(migrations) if migrations else []
         for plan in plans:
             if not isinstance(plan, MigrationPlan):
@@ -206,20 +200,13 @@ class NetworkedRuntime:
         self.time_scale = time_scale
         self.credit_window = credit_window
         self.batch = batch
-        #: UNIX-socket fast path for spawned (co-located) workers:
-        #: None = auto (on when the platform has AF_UNIX), False = off,
-        #: True = on.  Externally attached workers never get one — they
-        #: may be on other hosts, and TCP is always the fallback anyway.
-        self.uds = uds
-        #: Inbox lanes per hosted stage (per-stage ``net-inbox-lanes``
-        #: property overrides); >1 shards each inbox by input edge.
-        self.inbox_lanes = inbox_lanes
         self._uds_dir: Optional[str] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.repository = (
             repository if repository is not None else default_repository()
         )
         self._sources: List[SourceBinding] = []
+        self._ingresses: List[Ingress[str]] = []
         self._started = False
         #: stage name -> worker name, decided by the matchmaker at run().
         self.placement: Dict[str, str] = {}
@@ -260,13 +247,10 @@ class NetworkedRuntime:
         """
         if self._started:
             raise NetworkedRuntimeError("cannot bind sources after run()")
-        if target not in {s.name for s in self.config.stages} and (
-            target not in self._groups
-        ):
-            raise NetworkedRuntimeError(f"unknown stage {target!r}")
-        if rate is not None and rate <= 0:
-            raise NetworkedRuntimeError(f"rate must be > 0, got {rate}")
-        self._sources.append(SourceBinding(name, target, payloads, rate, item_size))
+        binding = SourceBinding(name, target, payloads, rate, item_size)
+        stages = {stage.name: stage.properties for stage in self.config.stages}
+        check_source(binding, stages, NetworkedRuntimeError)
+        self._sources.append(binding)
 
     # -- placement -----------------------------------------------------------
 
@@ -304,9 +288,9 @@ class NetworkedRuntime:
             if env.get("REPRO_NET_WORKER_STDERR") == "inherit"
             else subprocess.DEVNULL
         )
-        use_uds = (
-            self.uds if self.uds is not None else hasattr(socket, "AF_UNIX")
-        )
+        # Co-located fast path (TCP stays the fallback); externally
+        # attached workers never get one, they may be on other hosts.
+        use_uds = hasattr(socket, "AF_UNIX")
         if use_uds and self._uds_dir is None:
             # Short prefix: AF_UNIX paths are capped around ~100 bytes.
             self._uds_dir = tempfile.mkdtemp(prefix="repro-uds-")
@@ -360,12 +344,17 @@ class NetworkedRuntime:
                     f"stage {stage.name!r}: cannot fetch code "
                     f"{stage.code_url!r}: {exc}"
                 ) from exc
+        taken = {s.name for s in self.config.streams}
         for binding in self._sources:
-            taken = {s.name for s in self.config.streams}
             if binding.name in taken:
                 raise NetworkedRuntimeError(
                     f"source binding {binding.name!r} collides with a stream name"
                 )
+        stages = {stage.name: stage.name for stage in self.config.stages}
+        groups = {name: (group.members, group.owner) for name, group in self._groups.items()}
+        self._ingresses = [
+            resolve_source(binding, stages, groups) for binding in self._sources
+        ]
 
         if isinstance(self.workers_spec, int):
             handles = self._spawn_workers(self.workers_spec)
@@ -420,8 +409,8 @@ class NetworkedRuntime:
                 await self._expect_ready(handle, FrameType.START, "started")
             run_started = time.monotonic()
             feeders = [
-                asyncio.create_task(self._feed_source(binding, by_name))
-                for binding in self._sources
+                asyncio.create_task(self._feed_source(ingress, by_name))
+                for ingress in self._ingresses
             ]
             if self._migration_plans:
                 # Control RPCs and RESULT collection share each worker's
@@ -489,7 +478,6 @@ class NetworkedRuntime:
                 "worker": handle.name,
                 "time_scale": self.time_scale,
                 "credit_window": self.credit_window,
-                "inbox_lanes": self.inbox_lanes,
                 "adaptation": self.adaptation_enabled,
                 "hold_results": bool(self._migration_plans),
                 "policy": asdict(self.policy),
@@ -593,8 +581,8 @@ class NetworkedRuntime:
                     "shard": shard_of(stream.dst),
                 }),
             )
-        for binding in self._sources:
-            for stream_name, target in self._source_channels(binding):
+        for ingress in self._ingresses:
+            for stream_name, target in self._source_channels(ingress):
                 target_worker = by_name[self.placement[target]]
                 assert target_worker.writer is not None
                 await send_frame(
@@ -628,18 +616,19 @@ class NetworkedRuntime:
             "boundaries": props.get(BOUNDARIES_PROPERTY),
         }
 
-    def _source_channels(self, binding: SourceBinding) -> List[Tuple[str, str]]:
-        """The (stream name, target stage) pairs one source binding feeds.
+    @staticmethod
+    def _source_channels(ingress: Ingress[str]) -> List[Tuple[str, str]]:
+        """The (stream name, target stage) pairs one source feeds.
 
         A stage-bound source is one channel; a group-bound source gets
         one channel per replica slot, suffixed like the expanded streams.
         """
-        group = self._groups.get(binding.target_stage)
-        if group is None:
-            return [(binding.name, binding.target_stage)]
+        name = ingress.binding.name
+        if ingress.owner is None:
+            return [(name, ingress.targets[0])]
         return [
-            (f"{binding.name}{SHARD_SEPARATOR}{slot}", member)
-            for slot, member in enumerate(group.members)
+            (f"{name}{SHARD_SEPARATOR}{slot}", member)
+            for slot, member in enumerate(ingress.targets)
         ]
 
     async def _expect_ready(
@@ -770,8 +759,8 @@ class NetworkedRuntime:
                 )
         feed_streams = [
             name
-            for binding in self._sources
-            for name, target in self._source_channels(binding)
+            for ingress in self._ingresses
+            for name, target in self._source_channels(ingress)
             if target == stage_name
         ]
         target_name = plan.target or self._select_target(stage_name, by_name)
@@ -992,18 +981,19 @@ class NetworkedRuntime:
     # -- data plane ------------------------------------------------------------
 
     async def _feed_source(
-        self, binding: SourceBinding, by_name: Dict[str, _WorkerHandle]
+        self, ingress: Ingress[str], by_name: Dict[str, _WorkerHandle]
     ) -> None:
-        """Ship one source binding's payloads over credit-bounded channels.
+        """Ship one source's payloads over credit-bounded channels.
 
         A group-bound source opens one channel per replica slot and
         routes each payload to the replica owning its key; every channel
         gets the end-of-stream marker (inactive slots simply own no
-        keys), so replica-group termination stays per-edge.
+        keys), so replica-group termination stays per-edge.  A send that
+        waited for credit restarts the pacing schedule.
         """
-        group = self._groups.get(binding.target_stage)
+        binding = ingress.binding
         channels: List[OutChannel] = []
-        for stream_name, target in self._source_channels(binding):
+        for stream_name, target in self._source_channels(ingress):
             handle = by_name[self.placement[target]]
             channel = OutChannel(
                 stream_name,
@@ -1019,17 +1009,13 @@ class NetworkedRuntime:
             # Visible to _migrate_stage, which pauses/re-dials the
             # feeder's channels when their target stage moves.
             self._feed_channels[stream_name] = channel
+        owner, size_of = ingress.owner, ingress.size_of
         counters = (
-            [
-                self.metrics.counter(f"shard.{member}.items")
-                for member in group.members
-            ]
-            if group is not None
+            [self.metrics.counter(f"shard.{member}.items") for member in ingress.targets]
+            if owner is not None
             else []
         )
-        gap = None
-        if binding.rate is not None:
-            gap = self.time_scale / binding.rate
+        gaps = ingress.gaps(self.time_scale)
         buffers: Optional[List[BatchBuffer]] = None
         if self.batch is not None and self.batch.enabled:
             # The feeder runs on the wall clock, so pre-scale the age
@@ -1041,22 +1027,26 @@ class NetworkedRuntime:
                 ))
                 for _ in channels
             ]
+        due = time.monotonic()
         try:
             for payload in binding.payloads:
-                size = binding.size_of(payload)
-                index = group.owner(payload) if group is not None else 0
+                size = size_of(payload)
+                index = owner(payload) if owner is not None else 0
                 channel = channels[index]
                 if buffers is None:
-                    await channel.send(payload, size)
+                    waited = await channel.send(payload, size)
                 else:
                     now = time.monotonic()
                     buffer = buffers[index]
+                    waited = False
                     if buffer.add((payload, size), now) or buffer.due(now):
-                        await channel.send_batch(buffer.drain())
+                        waited = await channel.send_batch(buffer.drain())
+                if waited:
+                    due = time.monotonic()
                 if counters:
                     counters[index].inc()
-                if gap is not None:
-                    await asyncio.sleep(gap)
+                if gaps is not None:
+                    due = await self._sleep_until_due(due, gaps, channels, buffers)
             for index, channel in enumerate(channels):
                 if buffers is not None:
                     await channel.send_batch(buffers[index].drain())
@@ -1064,6 +1054,29 @@ class NetworkedRuntime:
         finally:
             for channel in channels:
                 await channel.close()
+
+    @staticmethod
+    async def _sleep_until_due(
+        due: float,
+        gaps: Iterator[float],
+        channels: List[OutChannel],
+        buffers: Optional[List[BatchBuffer]],
+    ) -> float:
+        """Advance a source's schedule by one gap and sleep until then (not
+        at all when behind it, so oversleeping and send cost do not add
+        up); if the oldest partial batch ages out first, ship them all."""
+        due += next(gaps)
+        deadline = min((b.deadline() for b in buffers or () if b.entries), default=due)
+        if deadline < due:
+            wait = deadline - time.monotonic()
+            if wait > 0:
+                await asyncio.sleep(wait)
+            for channel, buffer in zip(channels, buffers or ()):
+                await channel.send_batch(buffer.drain())
+        wait = due - time.monotonic()
+        if wait > 0:
+            await asyncio.sleep(wait)
+        return due
 
     # -- metrics merge ---------------------------------------------------------
 

@@ -55,7 +55,6 @@ from repro.core.sharding import (
     partitioner_from_properties,
 )
 from repro.core.stagecore import OutEdge, StageCore, owner_select
-from repro.core.termination import no_input_message
 from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
@@ -72,7 +71,6 @@ from repro.net.protocol import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.checkpoint import StageCheckpoint
-from repro.simnet.hosts import CpuCostModel
 
 __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "main"]
 
@@ -123,15 +121,10 @@ def _shard_owner(shard: Dict[str, Any]) -> Callable[[Any], int]:
 class _LocalRoute:
     """In-process edge between two stages hosted on the same worker."""
 
-    def __init__(
-        self, stream: str, dst: "_HostedStage", worker: "Worker", lane: int = 0
-    ) -> None:
+    def __init__(self, stream: str, dst: "_HostedStage", worker: "Worker") -> None:
         self.stream = stream
         self.dst = dst
         self._worker = worker
-        #: Which of the destination inbox's lanes this edge feeds (one
-        #: lane per input edge keeps per-stream FIFO under sharding).
-        self.lane = lane
         #: ``shard`` descriptor from the CHANNEL frame (None when the
         #: destination is not a replica); set by ``_register_channel``.
         self.shard: Optional[Dict[str, Any]] = None
@@ -141,13 +134,11 @@ class _LocalRoute:
             payload=payload, size=size, origin=origin,
             created_at=self._worker.elapsed(),
         )
-        await self.dst.inbox.put((None, item), lane=self.lane)
+        await self.dst.inbox.put((None, item))
         self.dst.core.arrivals.observe(self._worker.elapsed())
 
     async def send_eos(self, origin: str) -> None:
-        await self.dst.inbox.force_put(
-            (None, EndOfStream(origin=origin)), lane=self.lane
-        )
+        await self.dst.inbox.force_put((None, EndOfStream(origin=origin)))
 
     async def close(self) -> None:  # symmetry with OutChannel
         return None
@@ -219,9 +210,6 @@ class Worker:
         #: When set, also listen on this UNIX-domain socket and announce
         #: it, so co-located senders skip the TCP stack entirely.
         self.uds_path = uds_path
-        #: Default inbox lane count for hosted stages (coordinator HELLO
-        #: or per-stage ``net-inbox-lanes`` property override it).
-        self.inbox_lanes = 1
         self.repository = repository if repository is not None else default_repository()
         self.metrics = MetricsRegistry()
         self.policy = AdaptationPolicy()
@@ -337,7 +325,6 @@ class Worker:
         self.name = str(body.get("worker", self.name))
         self.time_scale = float(body.get("time_scale", self.time_scale))
         self.credit_window = int(body.get("credit_window", self.credit_window))
-        self.inbox_lanes = int(body.get("inbox_lanes", self.inbox_lanes))
         self.adaptation_enabled = bool(
             body.get("adaptation", self.adaptation_enabled)
         )
@@ -396,10 +383,7 @@ class Worker:
             raise WorkerError(f"{name}: code did not produce a StreamProcessor")
         properties = {str(k): str(v) for k, v in body.get("properties", {}).items()}
         capacity = int(properties.get("net-queue-capacity", DEFAULT_QUEUE_CAPACITY))
-        lanes = int(properties.get("net-inbox-lanes", self.inbox_lanes))
-        if lanes < 1:
-            raise WorkerError(f"{name}: net-inbox-lanes must be >= 1, got {lanes}")
-        inbox = AsyncInbox(capacity, self.policy.window, lanes=lanes)
+        inbox = AsyncInbox(capacity, self.policy.window)
         core = StageCore(
             name, properties, inbox, self.policy, self.metrics, clock=self.elapsed,
             error=WorkerError, batch=self.batch, time_scale=self.time_scale,
@@ -416,11 +400,7 @@ class Worker:
         if kind == "local":
             src = self._require_stage(body["src"], stream)
             dst = self._require_stage(body["dst"], stream)
-            # One inbox lane per input edge: this edge's items (and its
-            # EOS) stay FIFO in their own lane while other producers
-            # append to theirs without contending.
-            lane = len(dst.core.upstream) + len(dst.upstream_wire)
-            route = _LocalRoute(stream, dst, self, lane=lane)
+            route = _LocalRoute(stream, dst, self)
             route.shard = shard
             src.out_routes.append(route)
             dst.core.eos.expect()
@@ -428,8 +408,7 @@ class Worker:
         elif kind == "in":
             dst = self._require_stage(body["dst"], stream)
             window = int(body.get("window", self.credit_window))
-            lane = len(dst.core.upstream) + len(dst.upstream_wire)
-            channel = InChannel(stream, dst.name, window, lane=lane)
+            channel = InChannel(stream, dst.name, window)
             self._in_channels[stream] = channel
             dst.core.eos.expect()
             dst.upstream_wire.append(channel)
@@ -481,8 +460,7 @@ class Worker:
         if self._started:
             raise WorkerError("START received twice")
         for stage in self._stages.values():
-            if not stage.core.eos.has_inputs:
-                raise WorkerError(no_input_message(stage.name))
+            stage.core.require_input()
         self._started = True
         self._start_time = time.monotonic()
         # Warm the deterministic-context module before any stage task
@@ -543,37 +521,22 @@ class Worker:
 
     async def _stage_task(self, stage: _HostedStage) -> None:
         core = stage.core
-        metrics = core.metrics
         routes = stage.out_routes
         sleep_debt = 0.0
         # With batching on, the inbox is drained in chunks — one event-loop
         # suspension and one aggregated metrics update per chunk instead of
-        # per item — and the per-item cost computation is skipped entirely
-        # for provably-free cost models.
-        batch = core.batch
-        cost_model = core.processor.cost_model
-        free = isinstance(cost_model, CpuCostModel) and cost_model.is_free
+        # per item.
+        chunk = core.batch.max_items if core.batch is not None else 1
         local: Deque[Tuple[Any, Any]] = deque()
         try:
             while True:
                 if not local:
-                    timeout = core.flush_timeout()
                     try:
-                        if batch is not None:
-                            if timeout is None:
-                                drained = await stage.inbox.get_many(batch.max_items)
-                            else:
-                                drained = await asyncio.wait_for(
-                                    stage.inbox.get_many(batch.max_items), timeout
-                                )
-                            local.extend(drained)
-                            core.arrived(msg for _, msg in drained)
-                        elif timeout is None:
-                            local.append(await stage.inbox.get())
-                        else:
-                            local.append(
-                                await asyncio.wait_for(stage.inbox.get(), timeout)
-                            )
+                        drained = await asyncio.wait_for(
+                            stage.inbox.get_many(chunk), core.flush_timeout()
+                        )
+                        local.extend(drained)
+                        core.arrived(msg for _, msg in drained)
                     except asyncio.TimeoutError:
                         for index in core.due():
                             await self._flush_route(stage, index, age=True)
@@ -592,36 +555,24 @@ class Worker:
                     stage.fence_passed.set()
                     return
                 if isinstance(message, EndOfStream):
-                    if not core.eos.observe():
+                    if not core.end_of_stream():
                         continue
-                    core.processor.flush(core)
-                    core.det.finalize_stage(core.processor)
                     await self._flush_all(stage)
                     for route in routes:
                         await route.send_eos(stage.name)
                     return
-                if batch is None:
-                    metrics.items_in.inc()
-                    metrics.bytes_in.inc(message.size)
-                if not free:
-                    items, nbytes = core.processor.work_amount(
-                        message.payload, message.size
-                    )
-                    cost = cost_model.cost(items, nbytes)
-                    if cost > 0:
-                        scaled = cost * self.time_scale
-                        metrics.busy_seconds.inc(scaled)
-                        sleep_debt += scaled
-                        if sleep_debt >= _SLEEP_DEBT_THRESHOLD:
-                            await asyncio.sleep(sleep_debt)
-                            sleep_debt = 0.0
-                core.processor.on_item(message.payload, core)
-                now = self.elapsed()
-                metrics.latency.observe(now - message.created_at)
+                cost = core.take(message)
+                if cost:
+                    core.worked(message, cost)
+                    sleep_debt += cost
+                    if sleep_debt >= _SLEEP_DEBT_THRESHOLD:
+                        await asyncio.sleep(sleep_debt)
+                        sleep_debt = 0.0
+                core.process(message)
                 if core.pending:
                     # Inline rather than a coroutine call: with every
                     # route buffered, the drain finishes synchronously.
-                    for index, payload, size in core.drain(now):
+                    for index, payload, size in core.drain(self.elapsed()):
                         await routes[index].send(payload, size, stage.name)
                     for index in core.take_full():
                         await self._flush_route(stage, index)
@@ -825,10 +776,9 @@ class Worker:
                 break
             await asyncio.sleep(0.001)
         if not stage.done.is_set():
-            # A barrier, not an ordinary entry: with a sharded inbox the
-            # fence must sort after every lane's items, and the lanes
-            # are quiescent (upstreams paused), so barrier delivery ==
-            # "all lanes drained".
+            # A barrier, not an ordinary entry: it is delivered alone,
+            # after every item before it, and the upstreams are paused,
+            # so its delivery means the inbox has drained.
             await stage.inbox.put_barrier((None, _MigrateFence()))
             waits = [
                 asyncio.create_task(stage.done.wait()),
@@ -918,7 +868,6 @@ class Worker:
             raise ProtocolError(f"channel {stream!r} attached twice")
         channel.attach(writer)
         stage = self._stages[channel.dst_stage]
-        lane = channel.lane
         saw_eos = False
         try:
             # Bulk reads through one persistent decoder: back-to-back
@@ -941,8 +890,7 @@ class Worker:
                                 ),
                             )
                             for payload, size in decoded
-                        ],
-                        lane=lane,
+                        ]
                     )
                     stage.core.arrivals.observe(
                         self.elapsed(), count=float(len(decoded))
@@ -952,9 +900,7 @@ class Worker:
                     )
                 elif frame.type is FrameType.EOS:
                     saw_eos = True
-                    await stage.inbox.force_put(
-                        (None, EndOfStream(origin=stream)), lane=lane
-                    )
+                    await stage.inbox.force_put((None, EndOfStream(origin=stream)))
                 else:
                     raise ProtocolError(
                         f"unexpected {frame.type.name} frame on data channel "

@@ -20,7 +20,6 @@ from repro.core.sharding import (
     stable_hash,
     validate_shard_properties,
 )
-from repro.core.termination import EosTracker
 from repro.grid.config import AppConfig, StageConfig, StreamConfig
 
 
@@ -236,23 +235,6 @@ def test_groups_of_reconstructs_the_group():
     assert group.active == 2
     owners = {group.owner({"k": f"k{i}"}) for i in range(50)}
     assert owners == {0, 1}
-
-
-# -- replica-group termination ---------------------------------------------
-
-
-def test_eos_tracker_group_expectations():
-    tracker = EosTracker()
-    tracker.expect(group="relay")
-    tracker.expect(group="relay")
-    tracker.expect()  # one ungrouped feeder
-    assert tracker.groups() == ("relay",)
-    assert tracker.remaining_in("relay") == 2
-    assert not tracker.observe(group="relay")
-    assert tracker.remaining_in("relay") == 1
-    assert not tracker.observe()
-    assert tracker.observe(group="relay")  # last expectation completes
-    assert tracker.complete
 
 
 # -- keyed-state handoff ---------------------------------------------------

@@ -17,10 +17,14 @@ from repro.core.adaptation.policy import AdaptationPolicy
 from repro.core.adaptation.protocol import LoadException, LoadExceptionKind
 from repro.core.api import ProcessorError, StreamProcessor
 from repro.core.batching import BatchPolicy
+from repro.core.ingress import SourceBinding, check_source, resolve_source
+from repro.core.items import Item
 from repro.core.stagecore import OutEdge, StageCore, owner_select
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetterQueue, ResilienceConfig
+from repro.simnet.hosts import CpuCostModel
+from repro.streams.arrivals import ConstantArrivals
 
 
 class FakeClock:
@@ -363,6 +367,174 @@ class TestQuarantine:
         assert core.dead_letters is not None
         (letter,) = core.dead_letters.letters
         assert (letter.payload, letter.time, letter.reason) == ("p", 2.5, "transmission")
+
+
+# -- the item step -------------------------------------------------------------
+
+
+class FakeHop:
+    def __init__(self) -> None:
+        self.dequeue_t: Optional[float] = None
+        self.process_t = 0.0
+
+
+class EmitThenMaybeRaise(StreamProcessor):
+    """Emits ``payload`` twice; a negative payload then raises."""
+
+    cost_model = CpuCostModel()
+
+    def __init__(self) -> None:
+        self.flushes = 0
+
+    def on_item(self, payload, context):
+        context.emit(payload)
+        context.emit(payload)
+        if payload < 0:
+            raise ValueError(f"poison {payload}")
+
+    def flush(self, context):
+        self.flushes += 1
+        context.emit("final")
+
+
+class FakeDet:
+    def __init__(self) -> None:
+        self.finalized: List[Any] = []
+
+    def finalize_stage(self, processor: Any) -> None:
+        self.finalized.append(processor)
+
+
+def item(payload: Any = 1, size: float = 8.0, created_at: float = 0.0) -> Item:
+    message = Item(payload=payload, size=size, origin="src", created_at=created_at)
+    message.hop = FakeHop()
+    return message
+
+
+class TestItemStep:
+    def test_unbatched_stage_counts_each_item_it_takes(self):
+        core = make_core()
+        core.setup(EmitThenMaybeRaise())
+        core.clock.t = 4.0  # type: ignore[attr-defined]
+        message = item(size=24.0)
+        assert core.take(message) == 0.0
+        assert (core.metrics.items_in.value, core.metrics.bytes_in.value) == (1.0, 24.0)
+        assert message.hop.dequeue_t == 4.0
+
+    def test_batched_stage_leaves_the_count_to_its_chunks(self):
+        core = make_core(batch=BatchPolicy(max_items=4, max_delay=0.5))
+        core.setup(EmitThenMaybeRaise())
+        chunk = [item(size=24.0), item(size=8.0)]
+        core.arrived(chunk)
+        for message in chunk:
+            core.take(message)
+            assert message.hop.dequeue_t == 0.0
+        assert (core.metrics.items_in.value, core.metrics.bytes_in.value) == (2.0, 32.0)
+
+    def test_cost_follows_the_current_model_in_clock_units(self):
+        core = StageCore(
+            "s", {}, FakeQueue(), AdaptationPolicy(), MetricsRegistry(),
+            clock=FakeClock(), error=SetupError, time_scale=0.5,
+        )
+        processor = EmitThenMaybeRaise()
+        core.setup(processor)
+        assert core.take(item()) == 0.0
+        processor.cost_model = CpuCostModel(per_item=0.25, per_byte=0.5)
+        assert core.take(item(size=2.0)) == pytest.approx((0.25 + 1.0) * 0.5)
+        processor.work_amount = lambda payload, size: (0.0, 0.0)  # type: ignore[method-assign]
+        assert core.take(item()) is None
+
+    def test_worked_charges_busy_time_and_the_hop(self):
+        core = make_core()
+        message = item()
+        core.worked(message, 0.25)
+        assert core.metrics.busy_seconds.value == 0.25
+        assert message.hop.process_t == 0.25
+
+    def test_success_observes_latency(self):
+        core = make_core()
+        core.wire([OutEdge("a", "x")], {})
+        core.setup(EmitThenMaybeRaise())
+        core.clock.t = 3.0  # type: ignore[attr-defined]
+        assert core.process(item(7, created_at=1.0)) is None
+        assert core.metrics.latency.samples == [2.0]
+        assert [payload for payload, _, _ in core.pending] == [7, 7]
+
+    def test_quarantined_poison_item_drops_only_its_own_emissions(self):
+        core = make_core(resilience=ResilienceConfig(error_policy="skip"))
+        core.wire([OutEdge("a", "x")], {})
+        core.setup(EmitThenMaybeRaise())
+        assert core.process(item(5)) is None
+        poison = core.process(item(-1))
+        assert isinstance(poison, ValueError)
+        assert [payload for payload, _, _ in core.pending] == [5, 5]
+        assert core.registry.value("fault.stage.quarantined") == 1.0
+        assert core.metrics.latency.count == 1
+
+    def test_poison_item_raises_when_not_quarantined(self):
+        core = make_core()
+        core.wire([OutEdge("a", "x")], {})
+        core.setup(EmitThenMaybeRaise())
+        with pytest.raises(ValueError, match="poison -1"):
+            core.process(item(-1))
+
+    def test_second_marker_flushes_and_finalizes_exactly_once(self):
+        core = make_core()
+        core.wire([OutEdge("a", "x")], {})
+        processor = EmitThenMaybeRaise()
+        core.setup(processor)
+        det = core.__dict__["_det"] = FakeDet()
+        core.eos.expect(2)
+        assert core.end_of_stream() is False
+        assert (processor.flushes, det.finalized) == (0, [])
+        assert core.end_of_stream() is True
+        assert (processor.flushes, det.finalized) == (1, [processor])
+        assert core.end_of_stream() is False  # an over-delivered marker
+        assert (processor.flushes, det.finalized) == (1, [processor])
+        assert [payload for payload, _, _ in core.pending] == ["final"]
+
+
+# -- source ingress --------------------------------------------------------------
+
+
+STAGES = {"filter": {}, "relay#0": {"shard-group": "relay"}, "relay#1": {"shard-group": "relay"}}
+
+
+class TestIngress:
+    def test_stage_target_resolves_to_that_stage(self):
+        binding = SourceBinding("src", "filter", [1], item_size=lambda p: 3.0 * p)
+        check_source(binding, STAGES, SetupError)
+        ingress = resolve_source(binding, {"filter": "F"}, {})
+        assert (ingress.targets, ingress.owner) == (["F"], None)
+        assert ingress.size_of(2) == 6.0
+        assert ingress.gaps() is None
+
+    def test_group_target_resolves_to_every_replica_and_its_owner(self):
+        binding = SourceBinding("src", "relay", [1], rate=4.0)
+        check_source(binding, STAGES, SetupError)
+        stages = {"relay#0": "R0", "relay#1": "R1"}
+        ingress = resolve_source(binding, stages, {"relay": (["relay#0", "relay#1"], by_slot)})
+        assert ingress.targets == ["R0", "R1"]
+        assert ingress.owner is by_slot
+        assert ingress.size_of("any payload") == 8.0
+        gaps = ingress.gaps(time_scale=0.5)
+        assert gaps is not None
+        assert [next(gaps) for _ in range(2)] == [0.125, 0.125]
+
+    def test_arrivals_override_the_rate(self):
+        binding = SourceBinding("src", "filter", [1], rate=4.0, arrivals=ConstantArrivals(2.0))
+        gaps = resolve_source(binding, {"filter": "F"}, {}).gaps(time_scale=2.0)
+        assert gaps is not None
+        assert next(gaps) == 1.0
+
+    def test_unknown_target_is_rejected(self):
+        with pytest.raises(SetupError, match="source 'src': unknown stage 'nope'"):
+            check_source(SourceBinding("src", "nope", [1]), STAGES, SetupError)
+
+    @pytest.mark.parametrize("rate", [0.0, -2.0])
+    def test_non_positive_rate_is_rejected(self, rate):
+        with pytest.raises(SetupError, match="source 'src': rate must be > 0"):
+            check_source(SourceBinding("src", "filter", [1], rate=rate), STAGES, SetupError)
 
 
 # -- structural guard ----------------------------------------------------------
