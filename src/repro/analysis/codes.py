@@ -8,7 +8,7 @@ single source of truth three consumers share:
 * :meth:`repro.analysis.diagnostics.Report.add` resolves each code's
   default severity and fix hint from it (an unregistered code is a bug);
 * ``docs/static_analysis.md`` documents exactly these codes, and the
-  docs-consistency check (:mod:`repro.analysis.docscheck`, run as a
+  docs-consistency check (:mod:`repro.docscheck`, run as a
   tier-1 test) fails when either side drifts;
 * per-file ``# repro: noqa[GAxxx]`` suppressions are validated against
   it so a typo'd suppression is itself a finding.

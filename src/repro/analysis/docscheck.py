@@ -1,46 +1,19 @@
-"""Docs-consistency check: the code catalog and the docs must agree.
+"""The generated diagnostic-code table of ``docs/static_analysis.md``.
 
-``docs/static_analysis.md`` documents every diagnostic code — GA1xx
-through GA6xx — in **one** consolidated markdown table that is not
-hand-written but *generated* from the authoritative catalog
-(:data:`repro.analysis.codes.CODES`) by :func:`render_catalog_table`
-(``python -m repro.analysis.docscheck`` prints it for pasting).
-
-:func:`check_docs` pins the docs to the catalog two ways:
-
-* the generated table must appear in the page **verbatim** — any edit
-  to a code's kind, severity, or title in either place breaks the pin;
-* the table rows are also diffed against the catalog in both
-  directions, so a missing or stale row gets a problem message naming
-  the specific code rather than just "table drifted".
-
-The tier-1 test ``tests/analysis/test_docscheck.py`` asserts the
-problem list is empty, so the reference cannot drift (same pattern as
-:mod:`repro.obs.docscheck`).
+The page documents every diagnostic code — GA1xx through GA6xx — in
+**one** consolidated markdown table that is not hand-written but
+generated from the authoritative catalog
+(:data:`repro.analysis.codes.CODES`) by :func:`render_catalog_table`;
+``python -m repro.analysis.docscheck`` prints it for pasting.
+:mod:`repro.docscheck` requires the page to embed it verbatim and diffs
+its rows against the catalog.
 """
 
 from __future__ import annotations
 
-import re
-from pathlib import Path
-from typing import Dict, List, Optional
-
 from repro.analysis.codes import CODES
 
-__all__ = [
-    "check_docs",
-    "default_docs_path",
-    "documented_codes",
-    "render_catalog_table",
-]
-
-#: A code-table row: ``| `GA101` | config | ...``.
-_ROW = re.compile(r"^\|\s*`(?P<code>GA\d{3})`\s*\|\s*(?P<kind>\w+)\s*\|")
-
-
-def default_docs_path() -> Path:
-    """``docs/static_analysis.md`` relative to the repository root."""
-    return Path(__file__).resolve().parents[3] / "docs" / "static_analysis.md"
+__all__ = ["render_catalog_table"]
 
 
 def render_catalog_table() -> str:
@@ -61,48 +34,6 @@ def render_catalog_table() -> str:
             f"| {info.title} |"
         )
     return "\n".join(lines)
-
-
-def documented_codes(path: Path) -> Dict[str, str]:
-    """Parse ``{code: kind}`` from the docs' code-table rows."""
-    documented: Dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        match = _ROW.match(line.strip())
-        if match:
-            documented[match.group("code")] = match.group("kind")
-    return documented
-
-
-def check_docs(path: Optional[Path] = None) -> List[str]:
-    """Problems keeping the docs and the catalog apart (empty = in sync)."""
-    path = path if path is not None else default_docs_path()
-    if not path.exists():
-        return [f"docs file missing: {path}"]
-    documented = documented_codes(path)
-    cataloged: Dict[str, str] = {code: info.kind for code, info in CODES.items()}
-    problems: List[str] = []
-    for code, kind in sorted(cataloged.items()):
-        if code not in documented:
-            problems.append(
-                f"registered code {code!r} is not documented in {path.name}"
-            )
-        elif documented[code] != kind:
-            problems.append(
-                f"{code!r}: catalog says {kind}, docs say {documented[code]}"
-            )
-    for code in sorted(documented):
-        if code not in cataloged:
-            problems.append(
-                f"{path.name} documents {code!r}, which is not registered "
-                "(repro.analysis.codes.CODES)"
-            )
-    if render_catalog_table() not in path.read_text(encoding="utf-8"):
-        problems.append(
-            f"{path.name} does not embed the generated catalog table "
-            "verbatim; regenerate with "
-            "'python -m repro.analysis.docscheck' and paste it in"
-        )
-    return problems
 
 
 if __name__ == "__main__":

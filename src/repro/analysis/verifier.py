@@ -33,13 +33,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.analysis.diagnostics import Report
-from repro.analysis.xmlparse import (
-    RawApp,
-    RawParameter,
-    RawStage,
-    parse_document,
-)
+from repro.analysis.diagnostics import Report, SourceSpan
+from repro.grid.xmlparse import RawApp, RawParameter, RawStage, parse_document
 
 __all__ = ["verify_config", "verify_document", "verify_path", "verify_raw"]
 
@@ -86,8 +81,12 @@ def verify_document(
     registry: Optional[object] = None,
 ) -> Report:
     """Verify configuration XML ``text`` (tolerant parse, all passes)."""
-    app, shape_diagnostics = parse_document(text, filename)
-    report = Report(shape_diagnostics)
+    app, shape_errors = parse_document(text, filename)
+    report = Report()
+    for error in shape_errors:
+        report.add("GA100", error.message, span=SourceSpan(
+            file=filename, line=error.line, column=error.column,
+        ))
     if app is not None:
         report.extend(verify_raw(app, repository=repository, registry=registry))
     return report
@@ -163,7 +162,7 @@ def _add(
     report.add(
         code,
         message,
-        span=app.span(line, config_path),
+        span=SourceSpan(file=app.file, line=line, config_path=config_path),
         source_line=app.excerpt(line),
     )
 
@@ -670,6 +669,7 @@ def _check_wire(app: RawApp, report: Report) -> None:
 def _check_placement(app: RawApp, registry: object, report: Report) -> None:
     """GA303: dry-run the Matchmaker over the declared requirements."""
     from repro.grid.matchmaker import MatchError, Matchmaker
+    from repro.grid.registry import RegistryError
     from repro.grid.resources import ResourceRequirement
 
     requirements: List[Tuple[str, ResourceRequirement]] = []
@@ -678,13 +678,7 @@ def _check_placement(app: RawApp, registry: object, report: Report) -> None:
         if math.isnan(raw.min_memory_mb) or math.isnan(raw.min_speed_factor):
             continue  # unparseable requirement already reported as GA100
         try:
-            requirement = ResourceRequirement(
-                min_cores=raw.min_cores,
-                min_memory_mb=raw.min_memory_mb,
-                min_speed_factor=raw.min_speed_factor,
-                placement_hint=raw.placement_hint,
-                min_bandwidth_to=dict(raw.min_bandwidth_to),
-            )
+            requirement = raw.resolve()
         except ValueError as exc:
             _add(report, app, "GA303",
                  f"stage {stage.name!r}: invalid requirement: {exc}",
@@ -694,5 +688,5 @@ def _check_placement(app: RawApp, registry: object, report: Report) -> None:
         requirements.append((stage.name, requirement))
     try:
         Matchmaker(registry).match_all(requirements)
-    except MatchError as exc:
+    except (MatchError, RegistryError) as exc:  # RegistryError: unknown host
         _add(report, app, "GA303", f"placement dry-run failed: {exc}")

@@ -24,7 +24,6 @@ configuration tooling without writing any Python:
 * ``lint [paths...]`` — run the AST lint suite over the source tree;
 * ``analyze [paths...]`` — run the whole-program concurrency analysis
   and the protocol model checker / conformance pass (GA6xx);
-* ``validate <config.xml>`` — deprecated alias for ``check``;
 * ``topology <config.xml>`` — print the placement a default star fabric
   would give the configuration (dry-run deployment).
 """
@@ -206,11 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="check the MODELS list from this Python file "
                               "instead of the built-in bounded protocol "
                               "configurations")
-
-    validate = sub.add_parser(
-        "validate", help="deprecated alias for 'check'"
-    )
-    validate.add_argument("config", help="path to the XML configuration file")
 
     topology = sub.add_parser(
         "topology", help="dry-run placement of a config on a star fabric"
@@ -519,16 +513,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _print_dag(path: str) -> None:
-    """The ``OK: ...`` banner and stage DAG (historic validate output)."""
-    from repro.grid.config import AppConfig, ConfigError
+    """The ``OK: ...`` banner and stage DAG of a clean configuration."""
+    from repro.grid.config import AppConfig
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = AppConfig.from_xml(handle.read())
-    except (OSError, ConfigError):
-        # Verification passed but the strict loader still objects (should
-        # not happen); the verifier's verdict stands.
-        return
+    with open(path, "r", encoding="utf-8") as handle:
+        config = AppConfig.from_xml(handle.read())
     print(f"OK: application {config.name!r}")
     print(f"  stages ({len(config.stages)}):")
     for stage in config.topological_stages():
@@ -556,15 +545,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.models:
         argv.extend(["--models", args.models])
     return analyze_main(argv)
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    print("warning: 'repro validate' is deprecated; use 'repro check' "
-          "(same verifier, more passes and flags)", file=sys.stderr)
-    check_args = argparse.Namespace(
-        config=args.config, json=False, sources=4, bandwidth=100_000.0
-    )
-    return _cmd_check(check_args)
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
@@ -693,7 +673,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "analyze": _cmd_analyze,
-    "validate": _cmd_validate,
     "topology": _cmd_topology,
     "bench": _cmd_bench,
     "replay": _cmd_replay,

@@ -63,7 +63,7 @@ from repro.core.sharding import (
     ShardGroup,
     groups_of,
 )
-from repro.core.stagecore import OutEdge, StageCore, owner_select
+from repro.core.stagecore import OutEdge, StageCore, owner_select, queue_capacity
 from repro.grid.config import StreamConfig
 from repro.grid.deployer import Deployment
 from repro.obs.registry import MetricsRegistry
@@ -177,10 +177,6 @@ class SimulatedRuntime:
     fail-stop behaviour — any fault aborts the run.
     """
 
-    #: Default input-queue capacity C when a stage doesn't override it via
-    #: the "queue-capacity" configuration property.
-    DEFAULT_QUEUE_CAPACITY = 200
-
     def __init__(
         self,
         env: Environment,
@@ -270,8 +266,9 @@ class SimulatedRuntime:
                 k: str(v)
                 for k, v in self.deployment.instance_of(stage_cfg.name).properties.items()
             }
-            capacity = int(properties.get("queue-capacity", self.DEFAULT_QUEUE_CAPACITY))
-            queue = BoundedQueue(self.env, capacity=capacity, window=self.policy.window)
+            queue = BoundedQueue(
+                self.env, capacity=queue_capacity(properties), window=self.policy.window
+            )
             processors[stage_cfg.name] = self._instantiate(stage_cfg.name)
             core = StageCore(
                 stage_cfg.name, properties, queue, self.policy, self.metrics,

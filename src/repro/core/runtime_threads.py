@@ -47,7 +47,7 @@ from repro.core.sharding import (
     groups_of,
     import_keyed_state,
 )
-from repro.core.stagecore import OutEdge, StageCore
+from repro.core.stagecore import OutEdge, StageCore, queue_capacity
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracing import TraceCollector, publish_traces
 from repro.resilience.checkpoint import CheckpointStore, MemoryCheckpointStore
@@ -277,8 +277,6 @@ class ThreadedRuntime:
         result = rt.run(timeout=30.0)
     """
 
-    DEFAULT_QUEUE_CAPACITY = 200
-
     def __init__(
         self,
         policy: Optional[AdaptationPolicy] = None,
@@ -388,20 +386,18 @@ class ThreadedRuntime:
         name: str,
         processor: StreamProcessor,
         properties: Optional[Dict[str, str]] = None,
-        queue_capacity: Optional[int] = None,
     ) -> None:
-        """Register a stage."""
+        """Register a stage; its properties set the queue capacity C."""
         if self._started:
             raise ThreadedRuntimeError("cannot add stages after run()")
         if name in self._stages:
             raise ThreadedRuntimeError(f"duplicate stage {name!r}")
         if not isinstance(processor, StreamProcessor):
             raise ThreadedRuntimeError(f"{name}: processor must be a StreamProcessor")
-        queue = _MonitoredQueue(
-            queue_capacity or self.DEFAULT_QUEUE_CAPACITY, self.policy.window
-        )
+        properties = dict(properties or {})
+        queue = _MonitoredQueue(queue_capacity(properties), self.policy.window)
         core = StageCore(
-            name, dict(properties or {}), queue, self.policy, self.metrics,
+            name, properties, queue, self.policy, self.metrics,
             clock=self.elapsed, error=ThreadedRuntimeError, batch=self.batch,
             time_scale=self.time_scale, resilience=self.resilience,
             dead_letters=self.dead_letters,

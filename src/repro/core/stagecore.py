@@ -61,7 +61,24 @@ from repro.resilience.checkpoint import StageCheckpoint
 from repro.resilience.policy import DeadLetter, DeadLetterQueue, ResilienceConfig
 from repro.simnet.hosts import CpuCostModel
 
-__all__ = ["Entry", "OutEdge", "RouteUnit", "Select", "StageCore", "owner_select"]
+__all__ = [
+    "DEFAULT_QUEUE_CAPACITY",
+    "Entry",
+    "OutEdge",
+    "QUEUE_CAPACITY_PROPERTY",
+    "RouteUnit",
+    "Select",
+    "StageCore",
+    "owner_select",
+    "queue_capacity",
+]
+
+#: Stage property setting the input-queue capacity C that Section 4's
+#: load factors and thresholds scale with (docs/adaptation.md).
+QUEUE_CAPACITY_PROPERTY = "queue-capacity"
+
+#: Capacity C of a stage that does not set :data:`QUEUE_CAPACITY_PROPERTY`.
+DEFAULT_QUEUE_CAPACITY = 200
 
 #: A shard family's slot choice for one emission, given the payload and
 #: the explicitly addressed slot (``None`` unless it named ``"t#1"``).
@@ -70,6 +87,11 @@ Select = Callable[[Any, Optional[int]], int]
 #: A buffered emission: ``(payload, size, created_at, trace, parent_hop)``;
 #: ``created_at`` is the drain's clock, the rest pass through from it.
 Entry = Tuple[Any, float, float, Any, Any]
+
+
+def queue_capacity(properties: Mapping[str, str]) -> int:
+    """The input-queue capacity C a stage's properties ask for."""
+    return int(properties.get(QUEUE_CAPACITY_PROPERTY, DEFAULT_QUEUE_CAPACITY))
 
 
 class OutEdge(NamedTuple):

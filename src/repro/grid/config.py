@@ -4,8 +4,8 @@ The application developer "writes an XML file, specifying the configuration
 information of an application.  Such information includes the number of
 stages and where the stages' codes are" (Section 3.2).  This module defines
 the typed model (:class:`AppConfig`, :class:`StageConfig`,
-:class:`StreamConfig`, :class:`ParameterConfig`) plus XML round-tripping
-via the stdlib :mod:`xml.etree`.
+:class:`StreamConfig`, :class:`ParameterConfig`); documents are read by
+:mod:`repro.grid.xmlparse` and written with the stdlib :mod:`xml.etree`.
 
 Example document::
 
@@ -30,6 +30,7 @@ from typing import Dict, List
 import networkx as nx
 
 from repro.grid.resources import ResourceRequirement
+from repro.grid.xmlparse import parse_document
 
 __all__ = ["AppConfig", "ConfigError", "ParameterConfig", "StageConfig", "StreamConfig"]
 
@@ -229,92 +230,33 @@ class AppConfig:
 
     @classmethod
     def from_xml(cls, document: str) -> "AppConfig":
-        """Parse and validate a configuration document."""
-        try:
-            root = ET.fromstring(document)
-        except ET.ParseError as exc:
-            raise ConfigError(f"malformed XML: {exc}") from exc
-        if root.tag != "application":
-            raise ConfigError(f"expected <application> root, got <{root.tag}>")
-        name = root.get("name")
-        if not name:
-            raise ConfigError("<application> missing 'name' attribute")
-        config = cls(name=name)
-        for el in root:
-            if not isinstance(el.tag, str):
-                continue  # XML comments / processing instructions
-            if el.tag == "stage":
-                config.stages.append(cls._parse_stage(el))
-            elif el.tag == "stream":
-                config.streams.append(cls._parse_stream(el))
-            else:
-                raise ConfigError(f"unexpected element <{el.tag}>")
+        """Read and validate a configuration document.
+
+        The document goes through the one reader,
+        :func:`repro.grid.xmlparse.parse_document`, which ``repro check``
+        uses too; its first shape error, an invalid requirement or a
+        broken invariant raises :class:`ConfigError`.
+        """
+        app, errors = parse_document(document)
+        if errors or app is None:
+            raise ConfigError(errors[0].message)
+        stages: List[StageConfig] = []
+        for raw in app.stages:
+            try:
+                requirement = raw.requirement.resolve()
+            except ValueError as exc:
+                raise ConfigError(
+                    f"stage {raw.name!r}: invalid requirement: {exc}"
+                ) from exc
+            parameters = [
+                ParameterConfig(p.name, p.init, p.minimum, p.maximum,
+                                p.increment, int(p.direction))
+                for p in raw.parameters
+            ]
+            stages.append(StageConfig(raw.name, raw.code_url, requirement,
+                                      parameters, dict(raw.properties)))
+        config = cls(app.name, stages, [
+            StreamConfig(s.name, s.src, s.dst, s.item_size) for s in app.streams
+        ])
         config.validate()
         return config
-
-    @staticmethod
-    def _parse_stage(el: ET.Element) -> StageConfig:
-        name = el.get("name")
-        code = el.get("code")
-        if not name or not code:
-            raise ConfigError("<stage> requires 'name' and 'code' attributes")
-        requirement = ResourceRequirement()
-        parameters: List[ParameterConfig] = []
-        properties: Dict[str, str] = {}
-        for child in el:
-            if not isinstance(child.tag, str):
-                continue  # XML comments
-            if child.tag == "requirement":
-                bandwidth = {
-                    b.get("to", ""): float(b.get("min", "0"))
-                    for b in child.findall("bandwidth")
-                }
-                requirement = ResourceRequirement(
-                    min_cores=int(child.get("min-cores", "1")),
-                    min_memory_mb=float(child.get("min-memory-mb", "0")),
-                    min_speed_factor=float(child.get("min-speed-factor", "0")),
-                    placement_hint=child.get("placement"),
-                    min_bandwidth_to=bandwidth,
-                )
-            elif child.tag == "parameter":
-                try:
-                    parameters.append(
-                        ParameterConfig(
-                            name=child.get("name", ""),
-                            init=float(child.get("init", "nan")),
-                            minimum=float(child.get("min", "nan")),
-                            maximum=float(child.get("max", "nan")),
-                            increment=float(child.get("increment", "nan")),
-                            direction=int(child.get("direction", "0")),
-                        )
-                    )
-                except ValueError as exc:
-                    raise ConfigError(f"bad <parameter> in stage {name!r}: {exc}") from exc
-            elif child.tag == "property":
-                key = child.get("key")
-                if not key:
-                    raise ConfigError(f"<property> in stage {name!r} missing key")
-                properties[key] = child.get("value", "")
-            else:
-                raise ConfigError(f"unexpected element <{child.tag}> in stage {name!r}")
-        return StageConfig(
-            name=name,
-            code_url=code,
-            requirement=requirement,
-            parameters=parameters,
-            properties=properties,
-        )
-
-    @staticmethod
-    def _parse_stream(el: ET.Element) -> StreamConfig:
-        name = el.get("name")
-        src = el.get("from")
-        dst = el.get("to")
-        if not name or not src or not dst:
-            raise ConfigError("<stream> requires 'name', 'from' and 'to'")
-        return StreamConfig(
-            name=name,
-            src=src,
-            dst=dst,
-            item_size=float(el.get("item-size", "8.0")),
-        )

@@ -75,7 +75,7 @@ def run_netdemo(
     join.properties["join-cost-ms"] = repr(join_cost_ms)
     # A small inbox relative to the credit window: the wire can keep it
     # saturated, so the estimator sees a genuinely overloaded queue.
-    join.properties["net-queue-capacity"] = "16"
+    join.properties["queue-capacity"] = "16"
 
     policy = AdaptationPolicy().with_(sample_interval=0.05, adjust_every=2)
     runtime = NetworkedRuntime(

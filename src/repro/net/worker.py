@@ -54,7 +54,7 @@ from repro.core.sharding import (
     extract_key,
     partitioner_from_properties,
 )
-from repro.core.stagecore import OutEdge, StageCore, owner_select
+from repro.core.stagecore import OutEdge, StageCore, owner_select, queue_capacity
 from repro.grid.repository import CodeRepository
 from repro.net.channels import AsyncInbox, ChannelError, InChannel, OutChannel
 from repro.net.debug import install_task_dump
@@ -79,9 +79,6 @@ __all__ = ["ANNOUNCE_PREFIX", "Worker", "WorkerError", "default_repository", "ma
 #: co-located fast path; older parsers that only read the port keep
 #: working).
 ANNOUNCE_PREFIX = "REPRO-NET-WORKER"
-
-#: Inbox capacity when a stage's properties carry no override.
-DEFAULT_QUEUE_CAPACITY = 200
 
 #: Accumulate modeled compute cost and sleep only past this debt, so
 #: micro-costs (50 us/item) do not each pay the event loop's wakeup
@@ -382,8 +379,7 @@ class Worker:
         if not isinstance(processor, StreamProcessor):
             raise WorkerError(f"{name}: code did not produce a StreamProcessor")
         properties = {str(k): str(v) for k, v in body.get("properties", {}).items()}
-        capacity = int(properties.get("net-queue-capacity", DEFAULT_QUEUE_CAPACITY))
-        inbox = AsyncInbox(capacity, self.policy.window)
+        inbox = AsyncInbox(queue_capacity(properties), self.policy.window)
         core = StageCore(
             name, properties, inbox, self.policy, self.metrics, clock=self.elapsed,
             error=WorkerError, batch=self.batch, time_scale=self.time_scale,

@@ -9,7 +9,7 @@ consumers share:
 * :class:`~repro.obs.registry.MetricsRegistry` validates every
   registration against it (an unknown name is a bug, not a new metric);
 * ``docs/observability.md`` documents exactly these templates, and the
-  docs-consistency check (:mod:`repro.obs.docscheck`, run as a tier-1
+  docs-consistency check (:mod:`repro.docscheck`, run as a tier-1
   test) fails when either side drifts;
 * the metric-name stability snapshot test pins the templates so renames
   are deliberate, reviewed events.

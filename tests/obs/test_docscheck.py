@@ -6,19 +6,21 @@ exists in the registry catalog and vice versa.
 
 from pathlib import Path
 
-from repro.obs.docscheck import check_docs, default_docs_path, documented_metrics
+from repro.docscheck import PINS
 from repro.obs.names import METRICS
+
+PIN = PINS["observability.md"]
 
 
 class TestDocsInSync:
     def test_no_problems(self):
-        assert check_docs() == []
+        assert PIN.check() == []
 
     def test_docs_file_exists(self):
-        assert default_docs_path().exists()
+        assert PIN.path.exists()
 
     def test_parser_finds_all_templates(self):
-        documented = documented_metrics(default_docs_path())
+        documented = PIN.rows(PIN.path.read_text(encoding="utf-8"))
         assert len(documented) == len(METRICS)
 
 
@@ -35,24 +37,24 @@ class TestDriftDetection:
 
     def test_missing_row_detected(self, tmp_path):
         rows = [(s.template, s.kind) for s in METRICS[1:]]
-        problems = check_docs(self.make_docs(tmp_path, rows))
+        problems = PIN.check(self.make_docs(tmp_path, rows))
         assert any(METRICS[0].template in p and "not documented" in p
                    for p in problems)
 
     def test_stale_row_detected(self, tmp_path):
         rows = [(s.template, s.kind) for s in METRICS]
         rows.append(("stage.{stage}.removed_metric", "counter"))
-        problems = check_docs(self.make_docs(tmp_path, rows))
-        assert any("removed_metric" in p and "not in the" in p
+        problems = PIN.check(self.make_docs(tmp_path, rows))
+        assert any("removed_metric" in p and "not in repro.obs.names.METRICS" in p
                    for p in problems)
 
     def test_kind_mismatch_detected(self, tmp_path):
         rows = [(s.template, s.kind) for s in METRICS[1:]]
         rows.append((METRICS[0].template, "gauge" if METRICS[0].kind != "gauge"
                      else "counter"))
-        problems = check_docs(self.make_docs(tmp_path, rows))
+        problems = PIN.check(self.make_docs(tmp_path, rows))
         assert any("catalog says" in p for p in problems)
 
     def test_missing_file_reported(self, tmp_path):
-        problems = check_docs(Path(tmp_path / "nope.md"))
+        problems = PIN.check(Path(tmp_path / "nope.md"))
         assert problems and "missing" in problems[0]

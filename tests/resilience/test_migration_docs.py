@@ -3,22 +3,19 @@ must not drift."""
 
 import dataclasses
 
+from repro.docscheck import PINS
 from repro.obs.names import METRICS
-from repro.resilience.migration import (
-    KNOBS,
-    MigrationPolicy,
-    check_docs,
-    default_docs_path,
-    documented_knobs,
-)
+from repro.resilience.migration import KNOBS, MigrationPolicy
+
+PIN = PINS["migration.md"]
 
 
 def test_docs_file_exists():
-    assert default_docs_path().exists()
+    assert PIN.path.exists()
 
 
 def test_docs_knobs_and_metrics_agree():
-    assert check_docs() == []
+    assert PIN.check() == []
 
 
 def test_knob_catalog_is_the_policy_dataclass():
@@ -27,12 +24,12 @@ def test_knob_catalog_is_the_policy_dataclass():
 
 
 def test_every_knob_has_a_table_row():
-    documented = set(documented_knobs(default_docs_path()))
+    documented = set(PIN.rows(PIN.path.read_text(encoding="utf-8")))
     assert set(KNOBS) <= documented
 
 
 def test_missing_docs_file_is_one_problem(tmp_path):
-    problems = check_docs(tmp_path / "ghost.md")
+    problems = PIN.check(tmp_path / "ghost.md")
     assert problems and "missing" in problems[0]
 
 
@@ -46,7 +43,7 @@ def test_drift_is_detected_both_ways(tmp_path):
         if spec.template.startswith("migration.")
     ]
     page.write_text("\n".join(rows), encoding="utf-8")
-    problems = check_docs(page)
+    problems = PIN.check(page)
     assert any("cooldown" in p and "not documented" in p for p in problems)
     assert any("teleport_speed" in p for p in problems)
 
@@ -56,5 +53,5 @@ def test_missing_metric_template_is_detected(tmp_path):
     page.write_text(
         "\n".join(f"| `{knob}` | x |" for knob in KNOBS), encoding="utf-8"
     )
-    problems = check_docs(page)
+    problems = PIN.check(page)
     assert any("migration.{stage}.pause_seconds" in p for p in problems)

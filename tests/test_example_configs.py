@@ -27,8 +27,14 @@ def test_parses_and_validates(path):
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=os.path.basename)
 def test_cli_validate_accepts(path, capsys):
-    assert main(["validate", path]) == 0
-    assert "OK" in capsys.readouterr().out
+    """``check`` loads a clean file with ``AppConfig.from_xml`` and prints
+    its stage DAG, every stage of it."""
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    with open(path, "r", encoding="utf-8") as handle:
+        config = AppConfig.from_xml(handle.read())
+    assert f"OK: application {config.name!r}" in out
+    assert all(f"    {stage.name}" in out for stage in config.stages)
 
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=os.path.basename)
